@@ -74,19 +74,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Cross-pool combine seam (b_eff style): the latency + bandwidth
-    // pair sim::InterconnectConfig prices sharded GEMM combines with
-    // (see BUILDING.md "Comm-model calibration").
-    const auto xpool =
-        figlut::bench::measureInterconnect(elements, reps);
-    std::printf("xpool: %8.2f GB/s, handoff %.2f us (%d NUMA node%s)\n",
-                gb(xpool.bandwidthBytesPerS), xpool.latencyS * 1e6,
-                xpool.numaNodes, xpool.numaNodes == 1 ? "" : "s");
-    if (xpool.bandwidthBytesPerS <= 0.0) {
-        std::fprintf(stderr, "cross-pool copy produced no rate\n");
-        return 1;
-    }
-
     if (!json_path.empty()) {
         std::vector<figlut::bench::JsonBenchRecord> records;
         const std::pair<const char *, double> rows[] = {
@@ -102,14 +89,6 @@ main(int argc, char **argv)
             rec.extra.emplace_back("mem_bw_bytes_per_s", rate);
             records.push_back(std::move(rec));
         }
-        figlut::bench::JsonBenchRecord rec;
-        rec.name = "stream/xpool";
-        rec.extra.emplace_back("mem_bw_bytes_per_s",
-                               xpool.bandwidthBytesPerS);
-        rec.extra.emplace_back("xpool_latency_s", xpool.latencyS);
-        rec.extra.emplace_back("numa_nodes",
-                               static_cast<double>(xpool.numaNodes));
-        records.push_back(std::move(rec));
         figlut::bench::writeBenchJson(json_path, records);
         std::printf("wrote %s\n", json_path.c_str());
     }

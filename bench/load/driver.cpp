@@ -140,9 +140,6 @@ runSimulated(const LoadConfig &config,
     options.maxQueue = config.engine.maxQueue;
     options.weightBits = config.engine.model.weightBits;
     options.includeVector = config.engine.includeVector;
-    // Resolve exactly as the engine does, so a simulated job prices
-    // the same per-GEMM combines the measured job pays.
-    options.shards = resolveShardCount(config.engine.exec.shards);
     options.groupSize = config.engine.model.groupSize;
     options.hasOffset = config.engine.model.useOffset;
     options.kvBudgetBytes = config.engine.kvBudgetBytes;

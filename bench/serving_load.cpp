@@ -72,9 +72,6 @@ struct CliOptions
     std::size_t ffn = 512;
     int weightBits = 4;
     int threads = 0;
-    /** Shard counts to sweep (each value one job per scenario; 0 =
-     *  auto: FIGLUT_SHARDS, else unsharded). */
-    std::vector<int> shards = {0};
     LutGemmBackend backend = LutGemmBackend::Simd;
     double kvBudgetMb = 0.0; ///< 0 = unbounded (non-overload runs)
     std::size_t blockTokens = 16;
@@ -108,13 +105,7 @@ printUsage()
            "(default 128/2/4/512)\n"
            "  --weight-bits Q   quantized weight width (default 4)\n"
            "  --threads T       GEMM workers (0 = hw concurrency)\n"
-           "  --shards LIST     comma-separated worker-group counts to "
-           "sweep, e.g. 1,2,4\n"
-           "                    (default 0 = auto: FIGLUT_SHARDS, else "
-           "unsharded; counts > 1\n"
-           "                    suffix the record name with -s<N>)\n"
-           "  --backend B       reference | threaded | packed | simd "
-           "(default simd)\n"
+           "  --backend B       reference | simd (default simd)\n"
            "  --kv-budget-mb X  KV arena byte budget in MiB (0 = "
            "unbounded; overload\n"
            "                    sweeps its own computed budgets)\n"
@@ -200,28 +191,10 @@ parseArgs(int argc, char **argv, CliOptions &cli)
             cli.weightBits = std::atoi(argv[++i]);
         } else if (flag == "--threads") {
             cli.threads = std::atoi(argv[++i]);
-        } else if (flag == "--shards") {
-            cli.shards.clear();
-            std::string list = argv[++i];
-            for (std::size_t pos = 0; pos <= list.size();) {
-                std::size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                const std::string item = list.substr(pos, comma - pos);
-                if (item.empty() || item.find_first_not_of("0123456789") !=
-                                        std::string::npos) {
-                    std::cerr << "bad --shards entry: '" << item
-                              << "' (want e.g. 1,2,4)\n";
-                    return false;
-                }
-                cli.shards.push_back(std::atoi(item.c_str()));
-                pos = comma + 1;
-            }
         } else if (flag == "--backend") {
             if (!parseLutGemmBackend(argv[++i], &cli.backend)) {
                 std::cerr << "unknown backend: " << argv[i]
-                          << " (want reference | threaded | packed |"
-                             " simd)\n";
+                          << " (want reference | simd)\n";
                 return false;
             }
         } else if (flag == "--kv-budget-mb") {
@@ -296,8 +269,6 @@ struct SweepJob
     ScenarioSpec scenario;
     std::string label; ///< record suffix ("overload-b60", ...)
     std::size_t kvBudgetBytes = 0;
-    /** ExecOptions::shards of this job (0 = auto). */
-    int shards = 0;
 };
 
 /**
@@ -449,26 +420,6 @@ main(int argc, char **argv)
         }
     }
 
-    // Cross with the shard sweep: one job per (scenario, shard count).
-    // Resolved counts > 1 suffix the record name (-s2, -s4, ...) so a
-    // sweep's records coexist in one artifact; the unsharded record
-    // keeps its unsuffixed name for trajectory continuity.
-    {
-        std::vector<SweepJob> crossed;
-        crossed.reserve(jobs.size() * cli.shards.size());
-        for (const SweepJob &base : jobs) {
-            for (const int shards : cli.shards) {
-                SweepJob job = base;
-                job.shards = shards;
-                const int resolved = resolveShardCount(shards);
-                if (resolved > 1)
-                    job.label += "-s" + std::to_string(resolved);
-                crossed.push_back(std::move(job));
-            }
-        }
-        jobs = std::move(crossed);
-    }
-
     banner("serving_load",
            "trace-driven serving latency vs the simulated accelerator");
     std::cout << "model " << cli.hidden << "x" << cli.layers << "L q"
@@ -499,14 +450,9 @@ main(int argc, char **argv)
                      "goodput tok/s"});
     std::vector<JsonBenchRecord> records;
 
-    const int numaNodes =
-        static_cast<int>(detectNumaTopology().nodeCount());
-
     for (const SweepJob &job : jobs) {
         const ScenarioSpec &scenario = job.scenario;
         config.engine.kvBudgetBytes = job.kvBudgetBytes;
-        config.engine.exec.shards = job.shards;
-        const int resolvedShards = resolveShardCount(job.shards);
         const auto trace =
             generateTrace(scenario, cli.requests, cli.seed);
 
@@ -563,8 +509,6 @@ main(int argc, char **argv)
              static_cast<double>(lutGemmBackendCode(cli.backend))},
             {"simd_isa",
              static_cast<double>(simdIsaCode(activeSimdIsa()))},
-            {"shards", static_cast<double>(resolvedShards)},
-            {"numa_nodes", static_cast<double>(numaNodes)},
             {"slo_ttft_ms", cli.slo.ttftMs},
             {"slo_itl_ms", cli.slo.itlMs},
             {"kv_budget_mb", static_cast<double>(job.kvBudgetBytes) /
@@ -610,9 +554,7 @@ main(int argc, char **argv)
         records.push_back(std::move(record));
 
         std::cout << job.label << ": " << trace.size()
-                  << " arrivals, shards " << resolvedShards
-                  << " (" << numaNodes << " NUMA node"
-                  << (numaNodes == 1 ? "" : "s") << "), budget "
+                  << " arrivals, budget "
                   << (job.kvBudgetBytes == 0
                           ? std::string("unbounded")
                           : TextTable::num(

@@ -14,14 +14,8 @@
 #define FIGLUT_BENCH_STREAM_UTIL_H
 
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <mutex>
-#include <thread>
 #include <vector>
-
-#include "core/parallel.h"
-#include "shard/numa.h"
 
 namespace figlut::bench {
 
@@ -128,123 +122,6 @@ measureStreamBandwidth(std::size_t elements, int reps)
     volatile double keep = sink;
     (void)keep;
     return bw;
-}
-
-/**
- * Cross-pool interconnect measurement, HPCC b_eff style: the two
- * parameters sim::InterconnectConfig prices a sharded combine with.
- * Latency is the best-observed half round trip of a mutex + condition
- * variable handoff between a thread pinned to the first NUMA node and
- * one pinned to the last — exactly the signaling mechanism
- * ShardedExecutor's combine uses, so the calibration times the real
- * seam, not an idealized message. Bandwidth is the best cross-pool
- * copy rate of a remote-first-touched array into a local one. On a
- * single-node host both threads land in the same pool and the numbers
- * degrade gracefully to in-pool costs (nodes = 1 says so).
- */
-struct InterconnectMeasurement
-{
-    /** Best half-round-trip handoff latency, seconds. */
-    double latencyS = 0.0;
-    /** Best cross-pool copy rate, bytes per second. */
-    double bandwidthBytesPerS = 0.0;
-    /** NUMA nodes the measurement spanned (1 = same-pool fallback). */
-    int numaNodes = 1;
-};
-
-/**
- * Measure the combine seam over `elements`-double buffers, best of
- * `reps` copies and of a fixed burst of handoff round trips. Spawns
- * two pinned threads; the calling thread's affinity is untouched.
- */
-inline InterconnectMeasurement
-measureInterconnect(std::size_t elements, int reps)
-{
-    InterconnectMeasurement m;
-    const NumaTopology topo = detectNumaTopology();
-    m.numaNodes = static_cast<int>(topo.nodeCount());
-    const CpuSet local =
-        topo.nodes.empty() ? CpuSet{} : topo.nodes.front().cpus;
-    const CpuSet remote =
-        topo.nodes.empty() ? CpuSet{} : topo.nodes.back().cpus;
-
-    std::mutex mu;
-    std::condition_variable cv;
-    int turn = 0; // 0 = ping side (measurer), 1 = pong side (remote)
-    bool stop = false;
-    std::vector<double> src; // filled (first-touched) by the remote
-    bool srcReady = false;
-
-    std::thread pong([&] {
-        applyThreadAffinity(remote);
-        {
-            std::vector<double> filled(elements, 1.0);
-            std::unique_lock<std::mutex> lock(mu);
-            src = std::move(filled);
-            srcReady = true;
-            cv.notify_all();
-        }
-        std::unique_lock<std::mutex> lock(mu);
-        while (true) {
-            cv.wait(lock, [&] { return turn == 1 || stop; });
-            if (stop)
-                return;
-            turn = 0;
-            cv.notify_all();
-        }
-    });
-
-    std::thread ping([&] {
-        applyThreadAffinity(local);
-        {
-            std::unique_lock<std::mutex> lock(mu);
-            cv.wait(lock, [&] { return srcReady; });
-        }
-        // Handoff latency: best half round trip over a short burst
-        // (with warmup), timed around the exact wait/notify pair the
-        // sharded combine synchronizes with.
-        const int kWarmup = 64, kRounds = 2048;
-        double bestRoundS = 0.0;
-        for (int r = 0; r < kWarmup + kRounds; ++r) {
-            const double t0 = stream_detail::seconds();
-            {
-                std::unique_lock<std::mutex> lock(mu);
-                turn = 1;
-                cv.notify_all();
-                cv.wait(lock, [&] { return turn == 0; });
-            }
-            const double dt = stream_detail::seconds() - t0;
-            if (r >= kWarmup && dt > 0.0 &&
-                (bestRoundS == 0.0 || dt < bestRoundS))
-                bestRoundS = dt;
-        }
-        m.latencyS = bestRoundS / 2.0;
-
-        // Cross-pool bandwidth: copy the remote-touched array into a
-        // locally-touched one (one read + one write per element).
-        std::vector<double> dst(elements, 0.0);
-        const double bytes = 2.0 * 8.0 * static_cast<double>(elements);
-        m.bandwidthBytesPerS = stream_detail::bestRate(
-            [&] {
-                for (std::size_t i = 0; i < elements; ++i)
-                    dst[i] = src[i];
-            },
-            bytes, reps);
-        double sink = 0.0;
-        for (std::size_t i = 0; i < elements; i += 4096)
-            sink += dst[i];
-        volatile double keep = sink;
-        (void)keep;
-    });
-
-    ping.join();
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        stop = true;
-        cv.notify_all();
-    }
-    pong.join();
-    return m;
 }
 
 } // namespace figlut::bench

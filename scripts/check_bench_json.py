@@ -66,8 +66,6 @@ SERVING_LOAD_KEYS = (
     "sim_ms_per_step_mean",
     "gemm_backend",
     "simd_isa",
-    "shards",
-    "numa_nodes",
 )
 
 
@@ -117,38 +115,6 @@ def check_record(index, record):
             if not is_finite_number(record.get(key)):
                 problems.append(
                     "%s: missing serving_load metric %r" % (name, key)
-                )
-        # Shard-sweep consistency: the resolved worker-group count is
-        # echoed in the record AND (for counts > 1) in the record name
-        # ("...-s<N>"); a mismatch means the harness labeled a sweep
-        # point with the wrong configuration. Unsuffixed records must
-        # be the unsharded baseline.
-        shards = record.get("shards")
-        if is_finite_number(shards) and shards < 1:
-            problems.append(
-                "%s: shards must be >= 1, got %r" % (name, shards)
-            )
-        nodes = record.get("numa_nodes")
-        if is_finite_number(nodes) and nodes < 1:
-            problems.append(
-                "%s: numa_nodes must be >= 1, got %r" % (name, nodes)
-            )
-        tail = name.rsplit("-s", 1)
-        suffix = (
-            int(tail[1])
-            if len(tail) == 2 and tail[1].isdigit()
-            else None
-        )
-        if is_finite_number(shards):
-            if suffix is not None and shards != suffix:
-                problems.append(
-                    "%s: name suffix -s%d disagrees with shards %r"
-                    % (name, suffix, shards)
-                )
-            if suffix is None and shards != 1:
-                problems.append(
-                    "%s: sharded record (shards=%r) missing the -s<N>"
-                    " name suffix" % (name, shards)
                 )
 
     if name.startswith("serving_load/longdoc-"):

@@ -2,10 +2,7 @@
 
 namespace figlut {
 
-ExecutionContext::ExecutionContext(int threads, CpuSet affinity)
-    : threads_(threads), affinity_(std::move(affinity))
-{
-}
+ExecutionContext::ExecutionContext(int threads) : threads_(threads) {}
 
 ExecutionContext::~ExecutionContext() = default;
 
@@ -18,7 +15,7 @@ ExecutionContext::pool(int workers)
         // Join the old workers before spawning the replacements so
         // thread_local worker scratch is released, not leaked.
         pool_.reset();
-        pool_ = std::make_unique<ThreadPool>(want, affinity_);
+        pool_ = std::make_unique<ThreadPool>(want);
         ++poolSpawns_;
     }
     return *pool_;

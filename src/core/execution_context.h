@@ -2,7 +2,7 @@
  * @file
  * Long-lived execution resources for the functional kernels.
  *
- * Every lutGemm() call that runs a blocked backend needs a ThreadPool
+ * Every lutGemm() call that runs the Simd backend needs a ThreadPool
  * and a set of scratch buffers (LUT arenas, column tables, staging
  * slots). Constructing those per call is correct but wasteful under
  * repeated traffic: worker spawn/join and arena reallocation dominate
@@ -45,12 +45,8 @@ class ExecutionContext
     /**
      * @param threads default worker budget for pool() requests that do
      *                not name a count; <= 0 = hardware concurrency.
-     * @param affinity optional CPU set every spawned pool worker pins
-     *                 to (empty = unpinned). Used by the shard layer
-     *                 to keep a worker group on one NUMA node; pinning
-     *                 failures are silent and never affect results.
      */
-    explicit ExecutionContext(int threads = 0, CpuSet affinity = {});
+    explicit ExecutionContext(int threads = 0);
     ~ExecutionContext();
 
     ExecutionContext(const ExecutionContext &) = delete;
@@ -58,9 +54,6 @@ class ExecutionContext
 
     /** Configured default worker budget (<= 0 = hardware). */
     int threads() const { return threads_; }
-
-    /** CPU set pool workers pin to (empty = unpinned). */
-    const CpuSet &affinity() const { return affinity_; }
 
     /**
      * The owned pool, spawned lazily with at least `workers` threads
@@ -124,7 +117,6 @@ class ExecutionContext
     };
 
     int threads_;
-    CpuSet affinity_;
     std::unique_ptr<ThreadPool> pool_;
     uint64_t poolSpawns_ = 0;
     Slot slot_;

@@ -13,6 +13,10 @@ namespace figlut {
 
 namespace {
 
+/** Span-walk kernel types of the SimdKernels table (core/simd.h). */
+using FpSpanKernel = decltype(SimdKernels::accumFpSpanFp32);
+using IntSpanKernel = decltype(SimdKernels::accumIntSpan);
+
 /** Column range, chunk count, and flat chunk base of one scale group. */
 struct GroupGeom
 {
@@ -54,7 +58,7 @@ struct LutArena
 
 /**
  * Reusable per-worker scratch: LUT arenas, the mu-element chunk
- * staging slots, and the packed-backend tile accumulators. One
+ * staging slots, and the Simd backend's tile accumulators. One
  * Scratch lives per worker thread (or per Reference call) so nothing
  * here is shared; reuse keeps the hot loops allocation-free.
  */
@@ -74,11 +78,10 @@ struct Scratch
 };
 
 /**
- * Packed-backend per-column tables: the LUT arenas of every chunk of
+ * Simd-backend per-column tables: the LUT arenas of every chunk of
  * one activation column (indexed by global chunk), plus the per-group
  * VPU-side terms. Built exactly once per (batch column) and then read
- * by every row tile — unlike the Threaded backend, no per-tile LUT
- * rebuild happens.
+ * by every row tile.
  */
 struct FpColumnTables
 {
@@ -95,7 +98,7 @@ struct IntColumnTables
 
 /**
  * Everything one lutGemm call reuses across its (batch, group) and
- * column iterations: the submitting thread's scratch plus the packed
+ * column iterations: the submitting thread's scratch plus the Simd
  * backend's column tables. Owned per call by default, or across calls
  * by an ExecutionContext so the arenas stop being reallocated under
  * repeated traffic.
@@ -138,12 +141,11 @@ chunkKey(const BcqTensor &w, int plane, std::size_t r, std::size_t c0,
 }
 
 /**
- * Shared kernel state for all backends. Reference and Threaded
- * execute processRows() — the cache-blocked (M-tile x chunk)
- * traversal that rebuilds each (column, group) LUT arena per tile.
- * The Packed backend instead reads pre-packed [plane][chunk][row] key
- * arrays and per-column LUT arenas built once, via
- * accumulatePacked*().
+ * Shared kernel state for both backends. Reference executes
+ * processRows(): per (column, group) it builds the LUT arena and
+ * gathers each row's key bits from the bit planes. Simd instead builds
+ * each column's arenas once and reads pre-packed [plane][chunk][row]
+ * key arrays, via accumulateTile*().
  *
  * Bit-identity across backends holds because each output element
  * y(r, b) is touched only by the work item owning row r, and its
@@ -272,17 +274,26 @@ class LutGemmKernel
     }
 
     /**
-     * Packed FP accumulate over one row tile: per (group, plane,
-     * chunk), a linear walk over the tile's pre-packed keys with one
-     * branch-free arena read each. Per-row operation order is
-     * identical to the Reference backend's (chunks, then planes, then
-     * offset, then the y fold), so outputs are bit-identical.
+     * Accumulate one row tile of activation column b, per (group,
+     * plane): the RAC walk over the group's chunks, the alpha scale,
+     * then the offset term and the y fold. With a `span` kernel
+     * (core/simd.h) one call walks every chunk of the group: the
+     * group's arena slabs are contiguous (stride t.arena.stride) and
+     * one plane's per-chunk key arrays are pk.rows apart (packing.h
+     * layout note). Without one — instrumented calls, and the Fp16/Bf16
+     * accumulate formats, whose per-add rounding has no hardware vector
+     * equivalent — the scalar loop does one branch-free arena read per
+     * pre-packed key. Rows are independent lanes and each row's
+     * operation order (chunks, then planes, then offset, then the y
+     * fold) is the Reference one, so outputs are bit-identical either
+     * way.
      */
     template <bool Instr>
     void
-    accumulatePackedFp(BlockRange rows, std::size_t b,
-                       const PackedLutKeys &pk, const FpColumnTables &t,
-                       MatrixD &y, LutGemmCounters &cnt, Scratch &s) const
+    accumulateTileFp(BlockRange rows, std::size_t b,
+                     const PackedLutKeys &pk, const FpColumnTables &t,
+                     FpSpanKernel span, MatrixD &y, LutGemmCounters &cnt,
+                     Scratch &s) const
     {
         const int q = w_.bits;
         const FpArith arith = config_.arith;
@@ -296,16 +307,23 @@ class LutGemmKernel
             std::fill(acc, acc + tile, 0.0);
             for (int i = 0; i < q; ++i) {
                 std::fill(psum, psum + tile, 0.0);
-                for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
-                    const std::size_t chunk = gg.chunkBase + ch;
-                    const uint32_t *keys =
-                        pk.chunkKeys(i, chunk) + rows.begin;
-                    const double *lut = t.arena.chunk(chunk);
-                    for (std::size_t r = 0; r < tile; ++r) {
-                        psum[r] = fpAdd(psum[r], lut[keys[r]], arith);
-                        if constexpr (Instr) {
-                            ++cnt.lutReads;
-                            ++cnt.racAccumulates;
+                if (!Instr && span != nullptr) {
+                    span(psum, t.arena.chunk(gg.chunkBase),
+                         t.arena.stride,
+                         pk.chunkKeys(i, gg.chunkBase) + rows.begin,
+                         pk.rows, gg.chunks, tile);
+                } else {
+                    for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
+                        const std::size_t chunk = gg.chunkBase + ch;
+                        const uint32_t *keys =
+                            pk.chunkKeys(i, chunk) + rows.begin;
+                        const double *lut = t.arena.chunk(chunk);
+                        for (std::size_t r = 0; r < tile; ++r) {
+                            psum[r] = fpAdd(psum[r], lut[keys[r]], arith);
+                            if constexpr (Instr) {
+                                ++cnt.lutReads;
+                                ++cnt.racAccumulates;
+                            }
                         }
                     }
                 }
@@ -338,12 +356,13 @@ class LutGemmKernel
         }
     }
 
+    /** The integer-path (FIGLUT-I) twin of accumulateTileFp(). */
     template <bool Instr>
     void
-    accumulatePackedInt(BlockRange rows, std::size_t b,
-                        const PackedLutKeys &pk,
-                        const IntColumnTables &t, MatrixD &y,
-                        LutGemmCounters &cnt, Scratch &s) const
+    accumulateTileInt(BlockRange rows, std::size_t b,
+                      const PackedLutKeys &pk, const IntColumnTables &t,
+                      IntSpanKernel span, MatrixD &y,
+                      LutGemmCounters &cnt, Scratch &s) const
     {
         const int q = w_.bits;
         const FpArith arith = config_.arith;
@@ -358,16 +377,23 @@ class LutGemmKernel
             std::fill(acc, acc + tile, 0.0);
             for (int i = 0; i < q; ++i) {
                 std::fill(psum, psum + tile, int64_t{0});
-                for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
-                    const std::size_t chunk = gg.chunkBase + ch;
-                    const uint32_t *keys =
-                        pk.chunkKeys(i, chunk) + rows.begin;
-                    const int64_t *lut = t.arena.chunk(chunk);
-                    for (std::size_t r = 0; r < tile; ++r) {
-                        psum[r] += lut[keys[r]];
-                        if constexpr (Instr) {
-                            ++cnt.lutReads;
-                            ++cnt.racAccumulates;
+                if (!Instr && span != nullptr) {
+                    span(psum, t.arena.chunk(gg.chunkBase),
+                         t.arena.stride,
+                         pk.chunkKeys(i, gg.chunkBase) + rows.begin,
+                         pk.rows, gg.chunks, tile);
+                } else {
+                    for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
+                        const std::size_t chunk = gg.chunkBase + ch;
+                        const uint32_t *keys =
+                            pk.chunkKeys(i, chunk) + rows.begin;
+                        const int64_t *lut = t.arena.chunk(chunk);
+                        for (std::size_t r = 0; r < tile; ++r) {
+                            psum[r] += lut[keys[r]];
+                            if constexpr (Instr) {
+                                ++cnt.lutReads;
+                                ++cnt.racAccumulates;
+                            }
                         }
                     }
                 }
@@ -397,133 +423,6 @@ class LutGemmKernel
                     if constexpr (Instr)
                         ++cnt.offsetOps;
                 }
-            }
-            for (std::size_t r = 0; r < tile; ++r)
-                y(rows.begin + r, b) =
-                    fpAdd(y(rows.begin + r, b), acc[r], arith);
-        }
-    }
-
-    /**
-     * Simd variants of the packed accumulates: same traversal, same
-     * per-row operation order, with the per-chunk key walk executed
-     * by the dispatched vector kernels (core/simd.h). Rows are
-     * independent lanes, so each row's psum sequence is exactly the
-     * Packed one; the FpArith::Fp32 per-add rounding is the binary32
-     * round-trip the kernels implement (equal to fpAdd's softfloat
-     * RNE rounding — the 4-backend suite proves it), and Fp16/Bf16 —
-     * whose per-add rounding has no hardware vector equivalent —
-     * fall back to the scalar Packed loop entirely. The alpha /
-     * offset / y-fold stages reuse the exact Packed scalar code:
-     * they are O(groups) per row rather than O(chunks), and sharing
-     * them keeps bit-identity trivially true where it is cheap.
-     */
-    void
-    accumulateSimdFp(BlockRange rows, std::size_t b,
-                     const PackedLutKeys &pk, const FpColumnTables &t,
-                     MatrixD &y, Scratch &s,
-                     const SimdKernels &simd) const
-    {
-        const FpArith arith = config_.arith;
-        const auto accum = arith == FpArith::Fp32
-                               ? simd.accumFpSpanFp32
-                               : arith == FpArith::Exact
-                                     ? simd.accumFpSpanExact
-                                     : nullptr;
-        if (accum == nullptr) {
-            LutGemmCounters unused;
-            accumulatePackedFp<false>(rows, b, pk, t, y, unused, s);
-            return;
-        }
-        const int q = w_.bits;
-        const std::size_t tile = rows.size();
-        s.fpPsum.resize(tile);
-        s.rowAcc.resize(tile);
-        double *psum = s.fpPsum.data();
-        double *acc = s.rowAcc.data();
-        for (std::size_t g = 0; g < geom_.size(); ++g) {
-            const GroupGeom &gg = geom_[g];
-            std::fill(acc, acc + tile, 0.0);
-            for (int i = 0; i < q; ++i) {
-                std::fill(psum, psum + tile, 0.0);
-                // One span call walks every chunk of the group: the
-                // group's arena slabs are contiguous (stride
-                // t.arena.stride) and the per-chunk key arrays of one
-                // plane are pk.rows apart (packing.h layout note).
-                accum(psum, t.arena.chunk(gg.chunkBase),
-                      t.arena.stride,
-                      pk.chunkKeys(i, gg.chunkBase) + rows.begin,
-                      pk.rows, gg.chunks, tile);
-                const auto &alpha =
-                    w_.alphas[static_cast<std::size_t>(i)];
-                for (std::size_t r = 0; r < tile; ++r)
-                    acc[r] = fpAdd(acc[r],
-                                   fpRound(alpha(rows.begin + r, g) *
-                                               psum[r],
-                                           arith),
-                                   arith);
-            }
-            if (w_.hasOffset) {
-                for (std::size_t r = 0; r < tile; ++r)
-                    acc[r] = fpAdd(
-                        acc[r],
-                        fpRound(w_.offsets(rows.begin + r, g) *
-                                    t.sumx[g],
-                                arith),
-                        arith);
-            }
-            for (std::size_t r = 0; r < tile; ++r)
-                y(rows.begin + r, b) =
-                    fpAdd(y(rows.begin + r, b), acc[r], arith);
-        }
-    }
-
-    void
-    accumulateSimdInt(BlockRange rows, std::size_t b,
-                      const PackedLutKeys &pk, const IntColumnTables &t,
-                      MatrixD &y, Scratch &s,
-                      const SimdKernels &simd) const
-    {
-        const int q = w_.bits;
-        const FpArith arith = config_.arith;
-        const std::size_t tile = rows.size();
-        s.intPsum.resize(tile);
-        s.rowAcc.resize(tile);
-        int64_t *psum = s.intPsum.data();
-        double *acc = s.rowAcc.data();
-        for (std::size_t g = 0; g < geom_.size(); ++g) {
-            const GroupGeom &gg = geom_[g];
-            const double scale = t.scale[g];
-            std::fill(acc, acc + tile, 0.0);
-            for (int i = 0; i < q; ++i) {
-                std::fill(psum, psum + tile, int64_t{0});
-                // One span call per (group, plane); see the FP variant
-                // above for the stride facts.
-                simd.accumIntSpan(psum, t.arena.chunk(gg.chunkBase),
-                                  t.arena.stride,
-                                  pk.chunkKeys(i, gg.chunkBase) +
-                                      rows.begin,
-                                  pk.rows, gg.chunks, tile);
-                const auto &alpha =
-                    w_.alphas[static_cast<std::size_t>(i)];
-                for (std::size_t r = 0; r < tile; ++r)
-                    acc[r] = fpAdd(
-                        acc[r],
-                        fpRound(alpha(rows.begin + r, g) *
-                                    (static_cast<double>(psum[r]) *
-                                     scale),
-                                arith),
-                        arith);
-            }
-            if (w_.hasOffset) {
-                const double sumx =
-                    static_cast<double>(t.sumMant[g]) * scale;
-                for (std::size_t r = 0; r < tile; ++r)
-                    acc[r] = fpAdd(
-                        acc[r],
-                        fpRound(w_.offsets(rows.begin + r, g) * sumx,
-                                arith),
-                        arith);
             }
             for (std::size_t r = 0; r < tile; ++r)
                 y(rows.begin + r, b) =
@@ -761,7 +660,7 @@ resolveWorkers(const LutGemmConfig &config, std::size_t m)
 }
 
 /**
- * The pool of one blocked-backend call: the context's persistent pool
+ * The pool of one Simd call: the context's persistent pool
  * when one is supplied, else a per-call pool in `local`. The per-call
  * default is deliberate for context-free callers: wait() and the
  * captured first exception are pool-global, so sharing a static pool
@@ -793,152 +692,89 @@ acquireWorkspace(ExecutionContext *ctx,
     return *local;
 }
 
+/**
+ * The Simd backend: each activation column's LUT arenas are built
+ * exactly once, on the submitting thread, and the column's row tiles
+ * then stream through the pool, only reading them. Fast calls walk
+ * the keys with the span kernels of the active ISA, resolved once and
+ * shared read-only by the workers. Instrumented calls run the scalar
+ * loop with per-read counters, merged per tile under a lock (tiles
+ * partition the rows, so y itself needs none).
+ */
 template <bool Instr>
 void
-runThreadedBackend(const LutGemmKernel &kernel,
-                   const LutGemmConfig &config, std::size_t m,
-                   MatrixD &y, LutGemmCounters &cnt,
-                   ExecutionContext *ctx)
+runSimdBackend(const LutGemmKernel &kernel, const PackedLutKeys &pk,
+               const LutGemmConfig &config, std::size_t m,
+               std::size_t batch, MatrixD &y, LutGemmCounters &cnt,
+               ExecutionContext *ctx)
 {
+    FpSpanKernel fpSpan = nullptr;
+    IntSpanKernel intSpan = nullptr;
+    if constexpr (!Instr) {
+        const SimdKernels &simd = simdKernels();
+        intSpan = simd.accumIntSpan;
+        if (config.arith == FpArith::Fp32)
+            fpSpan = simd.accumFpSpanFp32;
+        else if (config.arith == FpArith::Exact)
+            fpSpan = simd.accumFpSpanExact;
+    }
     std::optional<ThreadPool> localPool;
     ThreadPool &pool = acquirePool(ctx, config, m, localPool);
-    std::mutex counterMutex;
-    pool.parallelForBlocked(
-        m, static_cast<std::size_t>(config.blockRows),
-        [&](BlockRange rows) {
-            // Rows partition the output: no two work items share an
-            // element of y, so only the counter merge needs a lock.
-            // The scratch (arenas included) persists per worker
-            // thread across tiles.
-            static thread_local Scratch s;
-            if constexpr (Instr) {
-                LutGemmCounters blockCnt;
-                kernel.processRows<true>(rows, y, blockCnt, s);
-                std::lock_guard<std::mutex> lock(counterMutex);
-                mergeCounters(cnt, blockCnt);
-            } else {
-                LutGemmCounters unused;
-                kernel.processRows<false>(rows, y, unused, s);
-            }
-        });
-}
-
-template <bool Instr>
-void
-runPackedBackend(const LutGemmKernel &kernel, const PackedLutKeys &pk,
-                 const LutGemmConfig &config, std::size_t m,
-                 std::size_t batch, MatrixD &y, LutGemmCounters &cnt,
-                 ExecutionContext *ctx)
-{
-    std::optional<ThreadPool> localPool;
-    ThreadPool &pool = acquirePool(ctx, config, m, localPool);
-    std::mutex counterMutex;
     std::optional<CallWorkspace> localWs;
     CallWorkspace &ws = acquireWorkspace(ctx, localWs);
-    FpColumnTables &fpTables = ws.fp;
-    IntColumnTables &intTables = ws.ig;
-    Scratch &buildScratch = ws.scratch;
+    std::mutex counterMutex;
     for (std::size_t b = 0; b < batch; ++b) {
-        // Build this column's LUT arenas exactly once, on the
-        // submitting thread — every row tile then only reads them.
         if (!config.preAligned)
-            kernel.buildFpColumn<Instr>(b, fpTables, buildScratch, cnt);
+            kernel.buildFpColumn<Instr>(b, ws.fp, ws.scratch, cnt);
         else
-            kernel.buildIntColumn<Instr>(b, intTables, buildScratch,
-                                         cnt);
+            kernel.buildIntColumn<Instr>(b, ws.ig, ws.scratch, cnt);
         pool.parallelForBlocked(
             m, static_cast<std::size_t>(config.blockRows),
             [&, b](BlockRange rows) {
                 static thread_local Scratch s;
+                LutGemmCounters tileCnt;
+                if (!config.preAligned)
+                    kernel.accumulateTileFp<Instr>(rows, b, pk, ws.fp,
+                                                   fpSpan, y, tileCnt, s);
+                else
+                    kernel.accumulateTileInt<Instr>(
+                        rows, b, pk, ws.ig, intSpan, y, tileCnt, s);
                 if constexpr (Instr) {
-                    LutGemmCounters blockCnt;
-                    if (!config.preAligned)
-                        kernel.accumulatePackedFp<true>(
-                            rows, b, pk, fpTables, y, blockCnt, s);
-                    else
-                        kernel.accumulatePackedInt<true>(
-                            rows, b, pk, intTables, y, blockCnt, s);
                     std::lock_guard<std::mutex> lock(counterMutex);
-                    mergeCounters(cnt, blockCnt);
-                } else {
-                    LutGemmCounters unused;
-                    if (!config.preAligned)
-                        kernel.accumulatePackedFp<false>(
-                            rows, b, pk, fpTables, y, unused, s);
-                    else
-                        kernel.accumulatePackedInt<false>(
-                            rows, b, pk, intTables, y, unused, s);
+                    mergeCounters(cnt, tileCnt);
                 }
             });
     }
 }
 
 /**
- * The Simd backend's runner: the Packed column/tile structure with
- * the vectorized accumulates. Only the uninstrumented path lives
- * here — instrumented Simd calls run the Packed loops with per-read
- * counters instead (identical outputs by the backend's contract), so
- * the counter-equivalence proof covers Simd without threading
- * counters through the vector kernels. The kernel table is resolved
- * once on the submitting thread and shared read-only by the workers.
- */
-void
-runSimdBackend(const LutGemmKernel &kernel, const PackedLutKeys &pk,
-               const LutGemmConfig &config, std::size_t m,
-               std::size_t batch, MatrixD &y, ExecutionContext *ctx)
-{
-    const SimdKernels &simd = simdKernels();
-    std::optional<ThreadPool> localPool;
-    ThreadPool &pool = acquirePool(ctx, config, m, localPool);
-    std::optional<CallWorkspace> localWs;
-    CallWorkspace &ws = acquireWorkspace(ctx, localWs);
-    LutGemmCounters unused;
-    for (std::size_t b = 0; b < batch; ++b) {
-        if (!config.preAligned)
-            kernel.buildFpColumn<false>(b, ws.fp, ws.scratch, unused);
-        else
-            kernel.buildIntColumn<false>(b, ws.ig, ws.scratch,
-                                         unused);
-        pool.parallelForBlocked(
-            m, static_cast<std::size_t>(config.blockRows),
-            [&, b](BlockRange rows) {
-                static thread_local Scratch s;
-                if (!config.preAligned)
-                    kernel.accumulateSimdFp(rows, b, pk, ws.fp, y, s,
-                                            simd);
-                else
-                    kernel.accumulateSimdInt(rows, b, pk, ws.ig, y, s,
-                                             simd);
-            });
-    }
-}
-
-/**
  * Closed-form operation counts: every counter is an exact function of
- * the shapes and the backend's traversal, so the fast path derives
- * them after the loops instead of paying per-read increments. The
- * differential tests prove these equal the instrumented counts. The
- * math lives in the public addLutGemmClosedFormCounters() so the
- * shard layer can apply the identical accounting without a kernel;
- * the kernel's independently-derived geometry cross-checks it here.
+ * the tensor shape and the kernel's group/chunk geometry — both
+ * backends build each (column, group) LUT set exactly once — so the
+ * fast path derives them after the loops instead of paying per-read
+ * increments. The differential tests prove these equal the
+ * instrumented counts.
  */
 void
-addClosedFormCounters(const BcqTensor &w, const LutGemmConfig &config,
-                      std::size_t m, std::size_t batch,
-                      const LutGemmKernel &kernel, LutGemmCounters &cnt)
+addClosedFormCounters(const BcqTensor &w, const LutGemmKernel &kernel,
+                      std::size_t batch, LutGemmCounters &cnt)
 {
-    FIGLUT_ASSERT(m == w.rows, "closed-form counters row mismatch");
-    LutGemmCounters before = cnt;
-    addLutGemmClosedFormCounters(w, config, batch, cnt);
-    // The standalone form recomputes the chunk geometry; a divergence
-    // from the kernel's would silently skew every downstream energy
-    // model, so re-derive one term and compare.
-    const uint64_t reads = static_cast<uint64_t>(m) *
-                           static_cast<uint64_t>(w.bits) *
-                           static_cast<uint64_t>(kernel.totalChunks()) *
-                           static_cast<uint64_t>(batch);
-    FIGLUT_ASSERT(cnt.lutReads - before.lutReads == reads,
-                  "closed-form counters disagree with kernel geometry");
+    const auto rows64 = static_cast<uint64_t>(w.rows);
+    const auto batch64 = static_cast<uint64_t>(batch);
+    const auto chunks64 = static_cast<uint64_t>(kernel.totalChunks());
+    const auto groups64 = static_cast<uint64_t>(kernel.groups());
+    const auto bits64 = static_cast<uint64_t>(w.bits);
+
+    const uint64_t builds = batch64 * chunks64;
+    cnt.lutGenerations += builds;
+    cnt.generatorAdds += builds * kernel.addsPerGeneration();
+
+    const uint64_t reads = rows64 * bits64 * chunks64 * batch64;
+    cnt.lutReads += reads;
+    cnt.racAccumulates += reads;
+    cnt.scaleMuls += rows64 * bits64 * groups64 * batch64;
+    if (w.hasOffset)
+        cnt.offsetOps += rows64 * groups64 * batch64;
 }
 
 MatrixD
@@ -952,10 +788,8 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
         fatal("LUT-GEMM shape mismatch: weights are ", weights.rows, "x",
               weights.cols, " but activations have ", x.rows(), " rows");
     if (prepacked) {
-        if (config.backend != LutGemmBackend::Packed &&
-            config.backend != LutGemmBackend::Simd)
-            fatal("pre-packed LUT keys require the Packed or Simd "
-                  "backend");
+        if (config.backend != LutGemmBackend::Simd)
+            fatal("pre-packed LUT keys require the Simd backend");
         if (prepacked->mu != config.mu ||
             prepacked->rows != weights.rows ||
             prepacked->cols != weights.cols ||
@@ -1007,28 +841,6 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
           }
           break;
       }
-      case LutGemmBackend::Threaded: {
-          if (config.instrument)
-              runThreadedBackend<true>(kernel, config, m, y, cnt, ctx);
-          else
-              runThreadedBackend<false>(kernel, config, m, y, cnt, ctx);
-          break;
-      }
-      case LutGemmBackend::Packed: {
-          PackedLutKeys localPack;
-          const PackedLutKeys *pk = prepacked;
-          if (!pk) {
-              localPack = packLutKeys(weights, config.mu);
-              pk = &localPack;
-          }
-          if (config.instrument)
-              runPackedBackend<true>(kernel, *pk, config, m, batch, y,
-                                     cnt, ctx);
-          else
-              runPackedBackend<false>(kernel, *pk, config, m, batch, y,
-                                      cnt, ctx);
-          break;
-      }
       case LutGemmBackend::Simd: {
           PackedLutKeys localPack;
           const PackedLutKeys *pk = prepacked;
@@ -1036,22 +848,18 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
               localPack = packLutKeys(weights, config.mu);
               pk = &localPack;
           }
-          // Instrumented Simd runs the Packed loops (same outputs by
-          // the backend contract) so the per-read counter path stays
-          // scalar; the fast path uses the vector kernels and gets
-          // the closed-form counts below, which are backend-invariant
-          // between Packed and Simd (both build each LUT set once).
           if (config.instrument)
-              runPackedBackend<true>(kernel, *pk, config, m, batch, y,
-                                     cnt, ctx);
+              runSimdBackend<true>(kernel, *pk, config, m, batch, y, cnt,
+                                   ctx);
           else
-              runSimdBackend(kernel, *pk, config, m, batch, y, ctx);
+              runSimdBackend<false>(kernel, *pk, config, m, batch, y,
+                                    cnt, ctx);
           break;
       }
     }
 
     if (!config.instrument)
-        addClosedFormCounters(weights, config, m, batch, kernel, cnt);
+        addClosedFormCounters(weights, kernel, batch, cnt);
     return y;
 }
 
@@ -1060,10 +868,10 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
 int
 lutGemmBackendCode(LutGemmBackend backend)
 {
+    // Codes 1 and 2 are retired; Simd keeps 3 so recorded JSON stays
+    // comparable across versions.
     switch (backend) {
       case LutGemmBackend::Reference: return 0;
-      case LutGemmBackend::Threaded: return 1;
-      case LutGemmBackend::Packed: return 2;
       case LutGemmBackend::Simd: return 3;
     }
     return 0;
@@ -1074,8 +882,6 @@ lutGemmBackendName(LutGemmBackend backend)
 {
     switch (backend) {
       case LutGemmBackend::Reference: return "reference";
-      case LutGemmBackend::Threaded: return "threaded";
-      case LutGemmBackend::Packed: return "packed";
       case LutGemmBackend::Simd: return "simd";
     }
     return "reference";
@@ -1086,10 +892,6 @@ parseLutGemmBackend(const std::string &name, LutGemmBackend *out)
 {
     if (name == "reference")
         *out = LutGemmBackend::Reference;
-    else if (name == "threaded")
-        *out = LutGemmBackend::Threaded;
-    else if (name == "packed")
-        *out = LutGemmBackend::Packed;
     else if (name == "simd")
         *out = LutGemmBackend::Simd;
     else
@@ -1110,7 +912,7 @@ validateLutGemmConfig(const LutGemmConfig &config)
     if (config.backend != LutGemmBackend::Reference &&
         config.blockRows < 1)
         return Status::invalidArgument(
-            "LUT-GEMM blocked backends need blockRows >= 1, got ",
+            "LUT-GEMM Simd backend needs blockRows >= 1, got ",
             config.blockRows);
     if (config.threads > kMaxLutGemmThreads)
         return Status::invalidArgument(
@@ -1118,56 +920,6 @@ validateLutGemmConfig(const LutGemmConfig &config)
             ", got ", config.threads, " (<= 0 selects the hardware ",
             "concurrency)");
     return Status::okStatus();
-}
-
-void
-addLutGemmClosedFormCounters(const BcqTensor &weights,
-                             const LutGemmConfig &config,
-                             std::size_t batch,
-                             LutGemmCounters &counters)
-{
-    // Chunk geometry, identical to the LutGemmKernel constructor: per
-    // group, columns [c0, c1) split into ceil((c1 - c0) / mu) chunks.
-    const std::size_t groups = weights.groupsPerRow();
-    std::size_t totalChunks = 0;
-    for (std::size_t g = 0; g < groups; ++g) {
-        const std::size_t c0 = g * weights.groupSize;
-        const std::size_t c1 =
-            std::min(weights.cols, c0 + weights.groupSize);
-        totalChunks +=
-            (c1 - c0 + static_cast<std::size_t>(config.mu) - 1) /
-            static_cast<std::size_t>(config.mu);
-    }
-    const uint64_t addsPerGeneration =
-        (config.useGeneratorTree && config.mu >= 2)
-            ? lutGeneratorAdderCount(config.mu).treeAdds
-            : static_cast<uint64_t>(lutEntries(config.mu)) *
-                  static_cast<uint64_t>(config.mu - 1);
-
-    const auto rows64 = static_cast<uint64_t>(weights.rows);
-    const auto batch64 = static_cast<uint64_t>(batch);
-    const auto chunks64 = static_cast<uint64_t>(totalChunks);
-    const auto groups64 = static_cast<uint64_t>(groups);
-    const auto bits64 = static_cast<uint64_t>(weights.bits);
-
-    // LUT-build passes over the (batch, group) table sets: Reference
-    // and Packed build each set once; Threaded rebuilds per row block.
-    uint64_t passes = 1;
-    if (config.backend == LutGemmBackend::Threaded) {
-        passes =
-            (rows64 + static_cast<uint64_t>(config.blockRows) - 1) /
-            static_cast<uint64_t>(config.blockRows);
-    }
-    const uint64_t builds = passes * batch64 * chunks64;
-    counters.lutGenerations += builds;
-    counters.generatorAdds += builds * addsPerGeneration;
-
-    const uint64_t reads = rows64 * bits64 * chunks64 * batch64;
-    counters.lutReads += reads;
-    counters.racAccumulates += reads;
-    counters.scaleMuls += rows64 * bits64 * groups64 * batch64;
-    if (weights.hasOffset)
-        counters.offsetOps += rows64 * groups64 * batch64;
 }
 
 MatrixD

@@ -41,37 +41,33 @@ class ExecutionContext;
 /**
  * Execution backend of the functional kernel.
  *
- * All backends produce bit-identical outputs: every output row
+ * Both backends produce bit-identical outputs: every output row
  * accumulates its (batch, group, plane) contributions in the same
  * order through the same emulated-FP operations, and LUT contents are
  * a deterministic function of the activations. They differ only in
- * traversal: Reference streams all M rows per (column, group) LUT set
- * on one thread; Threaded carves M into blockRows-row work items,
- * rebuilding the (column, group) LUT sets per block so each set stays
- * cache-hot for exactly the rows of its block; Packed builds each
- * activation column's LUT arenas exactly once, pre-packs (or reuses
- * pre-packed) per-(plane, chunk) key arrays, and streams row tiles as
- * linear key walks + table reads with zero per-read bit-gathering;
- * Simd is the Packed traversal with the per-chunk key walk executed
- * by the runtime-dispatched vector kernels of core/simd.h (AVX2
- * gathers / NEON lanes, scalar fallback) — rows are independent
- * vector lanes, so per-row accumulation order is unchanged and the
- * outputs remain bit-identical (FpArith::Fp16/Bf16 accumulate falls
- * back to the Packed scalar loop inside the backend, since only the
- * binary32 round-trip has a hardware vector equivalent).
+ * traversal. Reference streams all M rows per (column, group) LUT set
+ * on one thread, gathering each key from the bit planes — the
+ * differential oracle. Simd builds each activation column's LUT
+ * arenas exactly once, pre-packs (or reuses pre-packed) per-(plane,
+ * chunk) key arrays, and streams blockRows-row tiles across a
+ * ThreadPool, walking the keys with the runtime-dispatched vector
+ * kernels of core/simd.h (AVX2 gathers / NEON lanes, scalar table
+ * otherwise). Rows are independent vector lanes, so per-row
+ * accumulation order is unchanged. FpArith::Fp16/Bf16 accumulate and
+ * instrumented calls run the same traversal with a scalar key walk,
+ * since only the binary32 round-trip has a hardware vector
+ * equivalent.
  */
 enum class LutGemmBackend
 {
     Reference, ///< single-threaded scalar loop (differential oracle)
-    Threaded,  ///< cache-blocked row tiles on a ThreadPool work queue
-    Packed,    ///< packed-key layout + flat LUT arenas
-    Simd,      ///< Packed layout + vectorized key walk (fastest)
+    Simd,      ///< packed keys + flat LUT arenas + vector key walk
 };
 
 /** Stable numeric code for JSON records ("gemm_backend" fields). */
 int lutGemmBackendCode(LutGemmBackend backend);
 
-/** Lower-case name ("reference", "threaded", "packed", "simd"). */
+/** Lower-case name ("reference", "simd"). */
 const char *lutGemmBackendName(LutGemmBackend backend);
 
 /** Parse a backend name as printed by lutGemmBackendName(). */
@@ -89,8 +85,8 @@ struct LutGemmConfig
     bool useGeneratorTree = true;          ///< tree generator vs direct
 
     LutGemmBackend backend = LutGemmBackend::Reference;
-    int threads = 0;   ///< blocked backends: workers, <= 0 = hardware
-    int blockRows = 64;///< blocked backends: rows per work item (M-tile)
+    int threads = 0;   ///< Simd: workers, <= 0 = hardware
+    int blockRows = 64;///< Simd: rows per work item (M-tile)
 
     /**
      * Count operations by per-read increments inside the hot loops
@@ -108,7 +104,7 @@ inline constexpr int kMaxLutGemmThreads = 1024;
 
 /**
  * Validate the shape-independent kernel knobs: mu in [1, kMaxMu],
- * hFFLUT needs mu >= 2, blocked backends need blockRows >= 1, threads
+ * hFFLUT needs mu >= 2, the Simd backend needs blockRows >= 1, threads
  * <= kMaxLutGemmThreads. lutGemm() enforces exactly these checks
  * fatally per call; construction-time callers (Session, the serve
  * Engine) use the Status form so a serving loop can reject a bad
@@ -119,17 +115,10 @@ Status validateLutGemmConfig(const LutGemmConfig &config);
 /**
  * Operation counters filled in by the kernel (drive energy models).
  *
- * Counts report the work the selected backend actually performed: the
- * Threaded backend rebuilds each (column, group) LUT set once per row
- * block, so its lutGenerations/generatorAdds are ceil(M / blockRows)
- * TIMES the Reference backend's, while the Packed and Simd backends
- * build each set exactly once and match Reference. Hardware energy
- * models must
- * derive LUT-build counts analytically (as sim/engine_sim does), never
- * from Threaded-backend counters. Read/accumulate/scale/offset counts
- * are identical across backends, and independent of
- * LutGemmConfig::instrument (closed-form and per-read accounting
- * agree exactly).
+ * Both backends build each (column, group) LUT set exactly once, so
+ * every count is backend-invariant, and independent of
+ * LutGemmConfig::instrument (closed-form and per-read accounting agree
+ * exactly).
  */
 struct LutGemmCounters
 {
@@ -142,26 +131,6 @@ struct LutGemmCounters
 };
 
 /**
- * Accumulate the closed-form operation counts of one lutGemm(weights,
- * x, config) call with a B-column activation matrix into `counters`,
- * without running the kernel. This is the exact accounting the fast
- * (non-instrumented) path applies after its loops: an analytic
- * function of the tensor shape, the group/chunk geometry, and the
- * backend's traversal (Threaded rebuilds LUT sets per row block).
- *
- * The shard layer uses it to keep counters execution-invariant: a
- * row-sharded run would otherwise rebuild each (column, group) LUT
- * set once per shard, inflating lutGenerations/generatorAdds by the
- * shard count. ShardedExecutor discards the per-shard counts and adds
- * this full-tensor closed form exactly once, so counters are
- * bit-identical to the unsharded call by construction.
- */
-void addLutGemmClosedFormCounters(const BcqTensor &weights,
-                                  const LutGemmConfig &config,
-                                  std::size_t batch,
-                                  LutGemmCounters &counters);
-
-/**
  * Run the LUT-GEMM kernel.
  *
  * @param weights  BCQ tensor, M x N
@@ -170,8 +139,8 @@ void addLutGemmClosedFormCounters(const BcqTensor &weights,
  * @param counters optional op counters (accumulated, not reset)
  * @param ctx      optional long-lived execution resources
  *                 (core/execution_context.h). With a context, the
- *                 blocked backends run on its persistent ThreadPool
- *                 and reuse its scratch/arena workspace across calls;
+ *                 Simd backend runs on its persistent ThreadPool
+ *                 and reuses its scratch/arena workspace across calls;
  *                 without one, pool and scratch are constructed per
  *                 call. Outputs are identical either way. A context
  *                 must not be shared by concurrent callers.
@@ -183,8 +152,8 @@ MatrixD lutGemm(const BcqTensor &weights, const MatrixD &x,
                 ExecutionContext *ctx = nullptr);
 
 /**
- * Run the LUT-GEMM kernel with pre-packed weight keys (Packed and
- * Simd backends). packed must come from packLutKeys(weights, config.mu); the
+ * Run the LUT-GEMM kernel with pre-packed weight keys (Simd backend).
+ * packed must come from packLutKeys(weights, config.mu); the
  * pre-packing is validated against the tensor's shape. Use this for
  * repeated-inference scenarios: keys depend only on the weights, so
  * packing once amortizes the layout pass across every call (pair it

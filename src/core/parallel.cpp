@@ -2,11 +2,6 @@
 
 #include <algorithm>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/logging.h"
 
 namespace figlut {
@@ -20,32 +15,7 @@ resolveThreadCount(int requested)
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-bool
-applyThreadAffinity(const CpuSet &cpus)
-{
-    if (cpus.empty())
-        return false;
-#if defined(__linux__)
-    cpu_set_t mask;
-    CPU_ZERO(&mask);
-    bool any = false;
-    for (const int cpu : cpus) {
-        if (cpu >= 0 && cpu < CPU_SETSIZE) {
-            CPU_SET(cpu, &mask);
-            any = true;
-        }
-    }
-    if (!any)
-        return false;
-    return pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask) ==
-           0;
-#else
-    return false; // pinning unsupported: run unpinned, results unchanged
-#endif
-}
-
-ThreadPool::ThreadPool(int threads, CpuSet affinity)
-    : affinity_(std::move(affinity))
+ThreadPool::ThreadPool(int threads)
 {
     const int n = resolveThreadCount(threads);
     workers_.reserve(static_cast<std::size_t>(n));
@@ -117,7 +87,6 @@ ThreadPool::parallelForBlocked(std::size_t total, std::size_t blockSize,
 void
 ThreadPool::workerLoop()
 {
-    applyThreadAffinity(affinity_);
     for (;;) {
         std::function<void()> task;
         {

@@ -43,31 +43,12 @@ struct BlockRange
  */
 int resolveThreadCount(int requested);
 
-/**
- * An explicit CPU set for thread pinning (logical CPU ids as exposed
- * by the OS). Empty = no pinning requested.
- */
-using CpuSet = std::vector<int>;
-
-/**
- * Pin the calling thread to `cpus`. Returns true when the affinity
- * mask was applied; an empty set, a non-Linux platform, or a rejected
- * syscall all return false and leave the thread unpinned — pinning is
- * strictly an optimization and never affects results.
- */
-bool applyThreadAffinity(const CpuSet &cpus);
-
 /** Fixed-size pool of worker threads draining a FIFO work queue. */
 class ThreadPool
 {
   public:
-    /**
-     * Spawn workers; threads <= 0 selects resolveThreadCount(0). A
-     * non-empty `affinity` pins every worker to that CPU set (one
-     * worker group = one set; per-NUMA-node placement is composed by
-     * ShardedExecutor from several pools).
-     */
-    explicit ThreadPool(int threads = 0, CpuSet affinity = {});
+    /** Spawn workers; threads <= 0 selects resolveThreadCount(0). */
+    explicit ThreadPool(int threads = 0);
 
     /** Drains the queue, then joins all workers. */
     ~ThreadPool();
@@ -76,9 +57,6 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     int threadCount() const { return static_cast<int>(workers_.size()); }
-
-    /** The CPU set every worker was asked to pin to (may be empty). */
-    const CpuSet &affinity() const { return affinity_; }
 
     /** Enqueue one work item. */
     void submit(std::function<void()> task);
@@ -100,7 +78,6 @@ class ThreadPool
   private:
     void workerLoop();
 
-    CpuSet affinity_;
     std::vector<std::thread> workers_;
     std::deque<std::function<void()>> queue_;
     mutable std::mutex mutex_;

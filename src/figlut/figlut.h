@@ -83,10 +83,6 @@
 #include "runtime/reference_ops.h"
 #include "runtime/session.h"
 
-#include "shard/numa.h"
-#include "shard/shard_plan.h"
-#include "shard/sharded_executor.h"
-
 #include "serve/clock.h"
 #include "serve/degradation.h"
 #include "serve/engine.h"

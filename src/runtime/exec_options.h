@@ -29,9 +29,9 @@ namespace figlut {
 /** Host execution of the GEMM kernels (core/lut_gemm.h knobs). */
 struct ExecOptions
 {
-    /** Simd is bit-identical to Packed (and Reference) with the same
-     *  closed-form counters, so the fastest backend is the default;
-     *  dispatch degrades to the scalar table on non-SIMD hosts. */
+    /** Simd is bit-identical to Reference with the same closed-form
+     *  counters, so the fast backend is the default; dispatch
+     *  degrades to the scalar table on non-SIMD hosts. */
     LutGemmBackend backend = LutGemmBackend::Simd;
     int threads = 0;    ///< workers, <= 0 = hardware concurrency
     int blockRows = 64; ///< rows per M-tile work item
@@ -49,28 +49,7 @@ struct ExecOptions
      * < 1e-5; see DESIGN.md) — hence opt-in, default off.
      */
     bool lutGelu = false;
-
-    /**
-     * Row-shard every layer GEMM across this many worker groups
-     * (shard/sharded_executor.h), each pinned to a NUMA node where
-     * detected. <= 0 = auto: the FIGLUT_SHARDS env override when set
-     * (mirroring FIGLUT_SIMD), else 1. Sharding is an execution
-     * detail: outputs, KV, and counters are bit-identical to
-     * shards=1 by construction, and 1 runs the regular unsharded
-     * path with zero added overhead.
-     */
-    int shards = 0;
 };
-
-/** Upper bound on ExecOptions::shards (guards typo'd counts). */
-inline constexpr int kMaxShards = 64;
-
-/**
- * Resolve the shard-count knob: values >= 1 are taken as-is, <= 0
- * ("auto") reads FIGLUT_SHARDS once per process (unset/invalid = 1).
- * Both paths clamp to [1, kMaxShards].
- */
-int resolveShardCount(int requested);
 
 /** The kernel configuration these options select for LUT group size mu. */
 LutGemmConfig makeGemmConfig(const ExecOptions &exec, int mu);

@@ -47,10 +47,10 @@ struct QuantizedModelOptions
      */
     std::size_t maxLayers = 0;
     /**
-     * Materialize PackedLutKeys per operand (the Packed and Simd
-     * backends' input; ~q bytes per weight, more than the quantized
-     * payload itself). Session disables this automatically for
-     * backends that gather keys from the bit planes instead.
+     * Materialize PackedLutKeys per operand (the Simd backend's
+     * input; ~q bytes per weight, more than the quantized payload
+     * itself). Session disables this automatically for the Reference
+     * backend, which gathers keys from the bit planes instead.
      */
     bool packKeys = true;
     /** Seed of the synthetic weight draw. */

@@ -69,8 +69,14 @@ Session::runDecodeStep(const MatrixD &hidden_in)
     for (std::size_t b = 0; b < batch; ++b) {
         for (std::size_t r = 0; r < h; ++r)
             column(r, 0) = hidden_in(r, b);
-        const Status s = engine_->provideInput(ids_[b], column);
-        FIGLUT_ASSERT(s.ok(), "session input rejected: ", s.toString());
+        // Shape is checked above, so a rejection here is a NaN/inf
+        // element: a caller error, reported like the shape check.
+        // Every call re-injects all columns, so an early return leaves
+        // no stale input behind.
+        if (const Status s = engine_->provideInput(ids_[b], column);
+            !s.ok())
+            fatal("decode-step input column ", b, " rejected: ",
+                  s.message());
     }
 
     auto step = engine_->step();
@@ -101,10 +107,6 @@ Session::workloadOptions() const
     opts.includeVector = options_.includeVector;
     opts.groupSize = options_.quant.groupSize;
     opts.hasOffset = options_.quant.useOffset;
-    // The engine resolved the shard count (knob or FIGLUT_SHARDS) at
-    // construction; mirror it so the scored workload prices the same
-    // per-GEMM combines the executed one pays.
-    opts.shards = engine_->shards();
     return opts;
 }
 

@@ -14,7 +14,7 @@
  * sized to the session batch and submits one unbounded request per
  * sequence; runDecodeStep() injects the caller's hidden columns with
  * Engine::provideInput() and runs one fused Engine::step(). The
- * numeric path (Packed LUT-GEMM kernels with pre-packed keys on one
+ * numeric path (Simd LUT-GEMM kernels with pre-packed keys on one
  * shared ExecutionContext, reference vector ops, per-sequence KvCache)
  * is therefore exactly the serving path, and the Session differential
  * suites pin the Engine's per-column arithmetic. Construction-time
@@ -112,8 +112,9 @@ class Session
     /**
      * Execute one full decode step numerically: every layer's GEMMs
      * through the LUT-GEMM kernel and its vector steps as reference
-     * ops. hidden_in must be hidden x batch. Appends one KV entry per
-     * layer (kvLength() grows by 1).
+     * ops. hidden_in must be hidden x batch and finite (FatalError
+     * otherwise). Appends one KV entry per layer (kvLength() grows by
+     * 1).
      */
     DecodeStepResult runDecodeStep(const MatrixD &hidden_in);
 

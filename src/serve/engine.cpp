@@ -1,27 +1,24 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 #include "model/synthetic.h"
 #include "runtime/reference_ops.h"
-#include "shard/numa.h"
-#include "shard/shard_plan.h"
-#include "shard/sharded_executor.h"
 
 namespace figlut {
 namespace serve {
 
 namespace {
 
-/** Only the Packed and Simd backends consume pre-packed keys; skip
- *  the materialization (roughly q bytes per weight) for the others. */
+/** Only the Simd backend consumes pre-packed keys; skip the
+ *  materialization (roughly q bytes per weight) for Reference. */
 ModelOptions
 modelOptionsFor(const EngineOptions &options)
 {
     ModelOptions model = options.model;
-    model.packKeys = options.exec.backend == LutGemmBackend::Packed ||
-                     options.exec.backend == LutGemmBackend::Simd;
+    model.packKeys = options.exec.backend == LutGemmBackend::Simd;
     return model;
 }
 
@@ -154,19 +151,6 @@ Engine::Engine(const OptConfig &model, const EngineOptions &options)
       arena_(arenaOptionsFor(model, options), options.faults)
 {
     options_.model.packKeys = model_.options().packKeys;
-    // Resolve the shard count once (explicit knob, else FIGLUT_SHARDS,
-    // else 1) and normalize it back into the stored options so every
-    // downstream consumer — workloadTasks(), simulate(), callers
-    // reading options() — sees the resolved value. shards == 1 keeps
-    // the unsharded path byte-for-byte: no plan, no extra threads.
-    shards_ = resolveShardCount(options_.exec.shards);
-    options_.exec.shards = shards_;
-    if (shards_ > 1) {
-        shardPlan_ = std::make_unique<ShardPlan>(model_, shards_);
-        shardExec_ = std::make_unique<ShardedExecutor>(
-            *shardPlan_, options_.exec.threads,
-            shardCpuSets(detectNumaTopology(), shards_));
-    }
     // Only the semantic op order is needed to drive the numeric step;
     // the analytic view is rebuilt per call because the live batch and
     // its context lengths change between steps.
@@ -176,8 +160,6 @@ Engine::Engine(const OptConfig &model, const EngineOptions &options)
     for (const auto &spec : layerSpecs(model_.config(), opOrder))
         layerOps_.push_back(spec.op);
 }
-
-Engine::~Engine() = default;
 
 Engine::Request *
 Engine::find(RequestId id)
@@ -216,9 +198,12 @@ Engine::remainingPrompt(const Request &req) const
 Result<RequestId>
 Engine::submit(const RequestOptions &request)
 {
-    if (request.deadlineS < 0.0)
+    // The negated form also rejects NaN, which compares false with
+    // everything and would otherwise expire on the first step.
+    if (!(std::isfinite(request.deadlineS) && request.deadlineS >= 0.0))
         return Status::invalidArgument(
-            "request deadlineS must be >= 0, got ", request.deadlineS);
+            "request deadlineS must be finite and >= 0, got ",
+            request.deadlineS);
     // A new request only bypasses the queue when the queue is empty —
     // earlier submits waiting for a slot keep their FIFO position even
     // if a cancellation just freed one (the next step admits them).
@@ -269,6 +254,14 @@ Engine::provideInput(RequestId id, const MatrixD &hidden)
         return Status::invalidArgument("request input must be ", h,
                                        "x1, got ", hidden.rows(), "x",
                                        hidden.cols());
+    // A non-finite element would poison the whole fused batch: the
+    // FIGLUT-I pre-alignment rejects it mid-step, failing every
+    // batch-mate, and the FP path carries it into the shared LUTs.
+    for (std::size_t r = 0; r < h; ++r)
+        if (!std::isfinite(hidden(r, 0)))
+            return Status::invalidArgument("request input element ", r,
+                                           " is not finite: ",
+                                           hidden(r, 0));
     req->hidden = hidden;
     return Status::okStatus();
 }
@@ -563,16 +556,10 @@ Engine::step()
         makeGemmConfig(options_.exec, options_.model.mu);
     auto runGemm = [&](std::size_t l, LayerOp op, const MatrixD &in) {
         ++stats.gemmCalls;
-        // Sharded path: the executor runs the plan's row slices on its
-        // worker groups and concatenates — bit-identical output and
-        // canonical (shard-invariant) counters by construction.
-        if (shardExec_ != nullptr)
-            return shardExec_->run(l, op, in, gemmCfg, &stats.counters);
         const QuantizedLayer &layer = model_.layer(l);
-        // The pre-packed overload serves the Packed and Simd backends;
-        // the others gather keys from the bit planes themselves.
-        if (gemmCfg.backend == LutGemmBackend::Packed ||
-            gemmCfg.backend == LutGemmBackend::Simd)
+        // The pre-packed overload serves the Simd backend; Reference
+        // gathers keys from the bit planes itself.
+        if (gemmCfg.backend == LutGemmBackend::Simd)
             return lutGemm(layer.weights(op), in, gemmCfg,
                            layer.keys(op), &stats.counters, &ctx_);
         return lutGemm(layer.weights(op), in, gemmCfg, &stats.counters,
@@ -837,7 +824,6 @@ Engine::workloadTasks() const
     opts.includeVector = options_.includeVector;
     opts.groupSize = options_.model.groupSize;
     opts.hasOffset = options_.model.useOffset;
-    opts.shards = shards_;
     return decodeStepWorkload(model_.config(), opts, contextLens);
 }
 

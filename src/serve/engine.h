@@ -18,7 +18,7 @@
  * hidden x batchWidth matrix — a request still prefilling contributes
  * its next chunk of prompt embedding columns (bounded per step by
  * prefillChunkTokens across the batch), a decoding request its one
- * hidden column — so each layer's weight GEMM hits the Packed LUT
+ * hidden column — so each layer's weight GEMM hits the Simd LUT
  * kernel exactly once per step: all requests share the model's
  * pre-packed keys and the engine's one ExecutionContext (the paper's
  * repeated-inference amortization, applied across clients). Attention
@@ -78,9 +78,6 @@
 #include "sim/accelerator.h"
 
 namespace figlut {
-
-class ShardPlan;
-class ShardedExecutor;
 
 namespace serve {
 
@@ -215,8 +212,7 @@ class Engine
   public:
     /**
      * Validate the architecture and every execution knob, then build
-     * the engine: materialize + quantize + (for the Packed and Simd
-     * backends)
+     * the engine: materialize + quantize + (for the Simd backend)
      * key-pack all layers — the one-time cost. Returns InvalidArgument
      * with an actionable message instead of constructing on bad input.
      */
@@ -225,16 +221,10 @@ class Engine
 
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
-    /** Out of line: unique_ptr members of incomplete shard types. */
-    ~Engine();
 
     const QuantizedModel &model() const { return model_; }
     const EngineOptions &options() const { return options_; }
     ExecutionContext &context() { return ctx_; }
-    /** Worker groups each fused GEMM is row-sharded across (resolved
-     *  from ExecOptions::shards / FIGLUT_SHARDS at construction;
-     *  1 = the unsharded single-context path). */
-    int shards() const { return shards_; }
 
     /**
      * Submit a new request. Admitted immediately when a batch slot is
@@ -248,7 +238,8 @@ class Engine
      * Override a request's next-step input (hidden x 1). By default
      * each step's output feeds the next step; an external driver (the
      * Session adapter, or a client with real embeddings) injects its
-     * own columns instead. Rejected once the request has retired.
+     * own columns instead. Rejected once the request has retired, and
+     * with InvalidArgument for a wrong shape or a NaN/inf element.
      */
     Status provideInput(RequestId id, const MatrixD &hidden);
 
@@ -400,13 +391,6 @@ class Engine
     QuantizedModel model_;
     EngineOptions options_;
     ExecutionContext ctx_;
-    /** Resolved shard count (>= 1; normalized into options_.exec). */
-    int shards_ = 1;
-    /** Row-partition of every GEMM operand (null when shards_ == 1). */
-    std::unique_ptr<ShardPlan> shardPlan_;
-    /** NUMA-aware worker groups running the plan (null when
-     *  shards_ == 1: the unsharded path keeps using ctx_). */
-    std::unique_ptr<ShardedExecutor> shardExec_;
     /** Fallback time source when EngineOptions::clock is null. */
     SteadyClock ownedClock_;
     const EngineClock *clock_ = nullptr;

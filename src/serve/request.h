@@ -69,7 +69,8 @@ struct RequestOptions
     /**
      * Seconds after submit() by which the request must finish; past
      * it the engine drops the request with DeadlineExceeded at the
-     * start of the next fused step. 0 = no deadline.
+     * start of the next fused step. 0 = no deadline; negative or
+     * non-finite values are rejected by submit().
      */
     double deadlineS = 0.0;
 };

@@ -83,9 +83,9 @@ void
 ExecConfig::validate() const
 {
     if (backend != LutGemmBackend::Reference && blockRows < 1)
-        fatal("blocked execution needs blockRows >= 1, got ", blockRows);
+        fatal("Simd execution needs blockRows >= 1, got ", blockRows);
     if (threads > kMaxLutGemmThreads)
-        fatal("threaded execution supports at most ", kMaxLutGemmThreads,
+        fatal("LUT-GEMM execution supports at most ", kMaxLutGemmThreads,
               " workers, got ", threads);
 }
 

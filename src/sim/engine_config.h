@@ -54,8 +54,8 @@ struct GemmShape
 struct ExecConfig
 {
     LutGemmBackend backend = LutGemmBackend::Reference;
-    int threads = 0;    ///< Threaded/Packed: workers, <= 0 = hardware
-    int blockRows = 64; ///< Threaded/Packed: rows per M-tile work item
+    int threads = 0;    ///< Simd: workers, <= 0 = hardware
+    int blockRows = 64; ///< Simd: rows per M-tile work item
     /**
      * Per-read operation counting inside the kernel loops instead of
      * the default closed-form accounting (identical totals either
@@ -68,24 +68,28 @@ struct ExecConfig
 };
 
 /**
- * Interconnect cost model for sharded execution, in the spirit of
- * HPCC's b_eff effective-bandwidth methodology: one combine (the
- * activation broadcast to remote worker groups + the gather of their
- * output rows) costs latencyS + bytes / bandwidthBytesPerS. Both
- * parameters are calibrated from measurement — bench_stream's
- * cross-pool transfer reports them directly (xpool_latency_s /
- * xpool_bw_bytes_per_s; see BUILDING.md "Comm-model calibration") —
- * and the defaults below carry the dev-host calibration so simulated
- * shard sweeps are honest out of the box.
+ * Interconnect cost model for the accelerator's row-sharded scale-out
+ * (KernelTask::shards > 1), in the spirit of HPCC's b_eff
+ * effective-bandwidth methodology: one combine (the activation
+ * broadcast to remote worker groups + the gather of their output
+ * rows) costs latencyS + bytes / bandwidthBytesPerS.
+ *
+ * The defaults are fixed constants. They were measured once, on a
+ * 4-vCPU single-NUMA-node x86-64 development host, by a cross-pool
+ * transfer probe that the host sharding executor shipped with; both
+ * went when that executor did (it measured as pure overhead on every
+ * host this project runs on). On a one-node host the probe only timed
+ * a same-pool handoff, so treat the constants as an order-of-magnitude
+ * prior and override them for a real interconnect.
  */
 struct InterconnectConfig
 {
-    /** Per-combine fixed cost: cross-group handshake + wakeup.
-     *  Default = the best mutex/condvar handoff half round trip
-     *  bench_stream's xpool probe measured on the reference host. */
+    /** Per-combine fixed cost: cross-group handshake + wakeup. The
+     *  default is the best mutex/condvar handoff half round trip the
+     *  probe measured. */
     double latencyS = 1.0e-6;
-    /** Effective cross-group bandwidth for combine traffic. Default =
-     *  the xpool cross-pool copy rate on the reference host. */
+    /** Effective cross-group bandwidth for combine traffic. The
+     *  default is the probe's cross-pool copy rate. */
     double bandwidthBytesPerS = 2.0e10;
 
     /** Validate invariants; throws FatalError on bad input. */

@@ -77,9 +77,10 @@ struct ReplayOptions
     bool includeVector = true; ///< price the VPU kernels too
     std::size_t groupSize = 0; ///< scale-group geometry (0 = per-row)
     bool hasOffset = true;     ///< BCQ offset term present
-    /** Worker groups each GEMM is row-sharded across, as
-     *  ExecOptions::shards resolves in the engine (1 = unsharded);
-     *  shards > 1 prices one interconnect combine per GEMM. */
+    /** Accelerator worker groups each GEMM is row-sharded across
+     *  (1 = unsharded); shards > 1 prices one interconnect combine
+     *  per GEMM. The host engine always runs unsharded, so only
+     *  shards = 1 replays are pinned to it. */
     int shards = 1;
     /** KV byte budget (0 = unbounded), as EngineOptions::kvBudgetBytes. */
     std::size_t kvBudgetBytes = 0;

@@ -239,7 +239,7 @@ TEST(LutGemm, ValidateConfigReportsEachBadKnob)
     EXPECT_TRUE(validateLutGemmConfig(cfg).ok());
 
     cfg = LutGemmConfig{};
-    cfg.backend = LutGemmBackend::Threaded;
+    cfg.backend = LutGemmBackend::Simd;
     cfg.blockRows = 0;
     s = validateLutGemmConfig(cfg);
     EXPECT_EQ(s.code(), StatusCode::InvalidArgument);
@@ -263,7 +263,7 @@ TEST(LutGemm, PrePackedKeyMismatchesThrow)
     // rejection paths guard against silently misindexed arenas.
     const auto tc = makeCase(6, 24, 2, 3, 0, true, 612);
     LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Packed;
+    cfg.backend = LutGemmBackend::Simd;
     cfg.threads = 1;
     const auto packed = packLutKeys(tc.weights, cfg.mu);
     EXPECT_NO_THROW(lutGemm(tc.weights, tc.x, cfg, packed));
@@ -282,8 +282,8 @@ TEST(LutGemm, PrePackedKeyMismatchesThrow)
     const auto wrongBits = packLutKeys(fewerBits.weights, cfg.mu);
     EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg, wrongBits), FatalError);
 
-    // Pre-packed keys are a Packed-backend contract.
-    cfg.backend = LutGemmBackend::Threaded;
+    // Pre-packed keys are a Simd-backend contract.
+    cfg.backend = LutGemmBackend::Reference;
     EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg, packed), FatalError);
 }
 

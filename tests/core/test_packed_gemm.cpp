@@ -1,9 +1,10 @@
 /**
  * @file
- * Differential tests for the Packed LUT-GEMM backend: bit-identity of
- * Reference vs Packed vs Threaded over randomized shapes/configs, the
- * pre-packed key reuse API, and the closed-form-vs-instrumented
- * counter proof.
+ * Differential tests for the packed-key layout: the Simd LUT-GEMM
+ * backend pinned to the scalar kernel table (the LutGemmPacked
+ * fixture), bit-identical to Reference over randomized shapes and
+ * configs, the pre-packed key reuse API, and the
+ * closed-form-vs-instrumented counter proof.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "common/rng.h"
 #include "core/engine_numerics.h"
 #include "core/lut_gemm.h"
+#include "core/simd.h"
 #include "model/synthetic.h"
 #include "quant/packing.h"
 
@@ -60,7 +62,15 @@ expectCountersEqual(const LutGemmCounters &a, const LutGemmCounters &b,
     EXPECT_EQ(a.offsetOps, b.offsetOps) << what;
 }
 
-TEST(LutGemmPacked, BitIdenticalToReferenceBothPaths)
+/** Runs the Simd backend on the portable scalar kernel table. */
+class LutGemmPacked : public ::testing::Test
+{
+  protected:
+    void SetUp() override { setSimdIsaOverride(SimdIsa::Scalar); }
+    void TearDown() override { clearSimdIsaOverride(); }
+};
+
+TEST_F(LutGemmPacked, BitIdenticalToReferenceBothPaths)
 {
     const auto tc = makeCase(32, 64, 3, 3, 16, true, 1001);
     for (const bool pre : {false, true}) {
@@ -69,13 +79,13 @@ TEST(LutGemmPacked, BitIdenticalToReferenceBothPaths)
         cfg.threads = 4;
         cfg.blockRows = 8;
         const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
-        const auto packed = runBackend(tc, cfg, LutGemmBackend::Packed);
+        const auto packed = runBackend(tc, cfg, LutGemmBackend::Simd);
         EXPECT_TRUE(compareMatrices(packed, ref).identical)
             << "preAligned=" << pre;
     }
 }
 
-TEST(LutGemmPacked, TailChunksAndOddShapes)
+TEST_F(LutGemmPacked, TailChunksAndOddShapes)
 {
     // n = 37 with mu = 4 leaves a padded tail chunk; groupSize 10
     // additionally puts a tail chunk in every group.
@@ -85,7 +95,7 @@ TEST(LutGemmPacked, TailChunksAndOddShapes)
         cfg.preAligned = true;
         cfg.blockRows = 3;
         const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
-        const auto packed = runBackend(tc, cfg, LutGemmBackend::Packed);
+        const auto packed = runBackend(tc, cfg, LutGemmBackend::Simd);
         EXPECT_TRUE(compareMatrices(packed, ref).identical)
             << "group=" << group;
     }
@@ -94,10 +104,10 @@ TEST(LutGemmPacked, TailChunksAndOddShapes)
 /**
  * The ISSUE's randomized differential suite: odd shapes, tail chunks,
  * mu in [1, kMaxMu], offset on/off, half-LUT on/off, generator
- * on/off, both numeric paths — Reference vs Packed vs Threaded must
- * agree bit for bit.
+ * on/off, both numeric paths — Reference and Simd must agree bit for
+ * bit.
  */
-TEST(LutGemmPacked, RandomizedDifferentialSuite)
+TEST_F(LutGemmPacked, RandomizedDifferentialSuite)
 {
     Rng shapes(1003);
     for (int trial = 0; trial < 16; ++trial) {
@@ -124,8 +134,7 @@ TEST(LutGemmPacked, RandomizedDifferentialSuite)
         const auto tc = makeCase(m, n, batch, bits, group, offset,
                                  1100 + static_cast<uint64_t>(trial));
         const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
-        const auto thr = runBackend(tc, cfg, LutGemmBackend::Threaded);
-        const auto packed = runBackend(tc, cfg, LutGemmBackend::Packed);
+        const auto packed = runBackend(tc, cfg, LutGemmBackend::Simd);
 
         const std::string what =
             "trial " + std::to_string(trial) + ": " + std::to_string(m) +
@@ -138,16 +147,15 @@ TEST(LutGemmPacked, RandomizedDifferentialSuite)
             std::to_string(cfg.preAligned) + " threads " +
             std::to_string(cfg.threads) + " blockRows " +
             std::to_string(cfg.blockRows);
-        EXPECT_TRUE(compareMatrices(thr, ref).identical) << what;
         EXPECT_TRUE(compareMatrices(packed, ref).identical) << what;
     }
 }
 
-TEST(LutGemmPacked, PrepackedKeysMatchInternalPacking)
+TEST_F(LutGemmPacked, PrepackedKeysMatchInternalPacking)
 {
     const auto tc = makeCase(24, 48, 2, 3, 12, true, 1004);
     LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Packed;
+    cfg.backend = LutGemmBackend::Simd;
     cfg.preAligned = true;
     cfg.blockRows = 7;
     const auto packedKeys = packLutKeys(tc.weights, cfg.mu);
@@ -161,11 +169,11 @@ TEST(LutGemmPacked, PrepackedKeysMatchInternalPacking)
     }
 }
 
-TEST(LutGemmPacked, PrepackedValidationThrows)
+TEST_F(LutGemmPacked, PrepackedValidationThrows)
 {
     const auto tc = makeCase(8, 16, 1, 2, 0, false, 1005);
     LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Packed;
+    cfg.backend = LutGemmBackend::Simd;
     const auto mismatchedMu = packLutKeys(tc.weights, cfg.mu + 1);
     EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg, mismatchedMu),
                  FatalError);
@@ -174,18 +182,18 @@ TEST(LutGemmPacked, PrepackedValidationThrows)
     const auto wrongShape = packLutKeys(other.weights, cfg.mu);
     EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg, wrongShape), FatalError);
 
-    // Pre-packed keys only make sense for the Packed backend.
+    // Pre-packed keys only make sense for the Simd backend.
     const auto good = packLutKeys(tc.weights, cfg.mu);
     LutGemmConfig refCfg = cfg;
     refCfg.backend = LutGemmBackend::Reference;
     EXPECT_THROW(lutGemm(tc.weights, tc.x, refCfg, good), FatalError);
 }
 
-TEST(LutGemmPacked, InvalidBlockRowsThrows)
+TEST_F(LutGemmPacked, InvalidBlockRowsThrows)
 {
     const auto tc = makeCase(4, 16, 1, 2, 0, false, 1007);
     LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Packed;
+    cfg.backend = LutGemmBackend::Simd;
     cfg.blockRows = 0;
     EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg), FatalError);
 }
@@ -225,8 +233,7 @@ TEST(LutGemmCounters, ClosedFormMatchesInstrumentedRandomized)
         const auto tc = makeCase(m, n, batch, bits, group, offset,
                                  1200 + static_cast<uint64_t>(trial));
         for (const auto backend :
-             {LutGemmBackend::Reference, LutGemmBackend::Threaded,
-              LutGemmBackend::Packed}) {
+             {LutGemmBackend::Reference, LutGemmBackend::Simd}) {
             LutGemmCounters closed, instrumented;
             cfg.instrument = false;
             (void)runBackend(tc, cfg, backend, &closed);
@@ -244,25 +251,23 @@ TEST(LutGemmCounters, ClosedFormMatchesInstrumentedRandomized)
 
 TEST(LutGemmCounters, PackedBuildsEachLutSetExactlyOnce)
 {
-    // Unlike Threaded (which rebuilds per row block), Packed must
-    // report batch x totalChunks LUT generations no matter how many
-    // row tiles execute: 32 rows / blockRows 4 = 8 tiles here.
+    // The Simd backend must report batch x totalChunks LUT
+    // generations no matter how many row tiles execute: 32 rows /
+    // blockRows 4 = 8 tiles here.
     const auto tc = makeCase(32, 64, 2, 3, 0, true, 1009);
     LutGemmConfig cfg;
     cfg.mu = 4;
     cfg.blockRows = 4;
     cfg.threads = 4;
 
-    LutGemmCounters ref, thr, packed;
+    LutGemmCounters ref, packed;
     (void)runBackend(tc, cfg, LutGemmBackend::Reference, &ref);
-    (void)runBackend(tc, cfg, LutGemmBackend::Threaded, &thr);
-    (void)runBackend(tc, cfg, LutGemmBackend::Packed, &packed);
+    (void)runBackend(tc, cfg, LutGemmBackend::Simd, &packed);
 
     // 64 cols / mu 4 = 16 chunks, 2 columns -> 32 sets.
     EXPECT_EQ(ref.lutGenerations, 32u);
     EXPECT_EQ(packed.lutGenerations, ref.lutGenerations);
     EXPECT_EQ(packed.generatorAdds, ref.generatorAdds);
-    EXPECT_EQ(thr.lutGenerations, ref.lutGenerations * 8);
     // Row-space work is traversal-invariant.
     EXPECT_EQ(packed.lutReads, ref.lutReads);
     EXPECT_EQ(packed.racAccumulates, ref.racAccumulates);
@@ -307,22 +312,6 @@ TEST(LutGemmCounters, GeneratorAddsScaleWithGenerations)
         EXPECT_EQ(cnt.generatorAdds,
                   18u * lutGeneratorAdderCount(4).treeAdds)
             << instrument;
-    }
-}
-
-TEST(LutGemmPacked, EngineNumericsPlumbsPackedBackend)
-{
-    // The FIGLUT engine wrapper must honour the Packed backend and
-    // stay bit-identical to its Reference execution.
-    const auto tc = makeCase(12, 40, 3, 3, 20, true, 1012);
-    NumericsConfig ref;
-    NumericsConfig packed;
-    packed.backend = LutGemmBackend::Packed;
-    packed.threads = 2;
-    for (const bool pre : {false, true}) {
-        const auto a = figlutGemm(tc.weights, tc.x, ref, pre);
-        const auto b = figlutGemm(tc.weights, tc.x, packed, pre);
-        EXPECT_TRUE(compareMatrices(a, b).identical) << "pre=" << pre;
     }
 }
 

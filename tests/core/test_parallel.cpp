@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the ThreadPool work queue and the threaded LUT-GEMM
- * backend's bit-identity against the scalar Reference backend.
+ * Tests for the ThreadPool work queue and the Simd LUT-GEMM backend's
+ * bit-identity against the scalar Reference backend under every row
+ * tiling (worker count x blockRows).
  */
 
 #include <gtest/gtest.h>
@@ -101,7 +102,7 @@ TEST(Parallel, TaskExceptionRethrownFromWait)
     EXPECT_EQ(calls.load(), 2);
 }
 
-// ------------------------------------------- threaded LUT-GEMM backend
+// --------------------------------------- Simd LUT-GEMM row tiling
 
 struct GemmCase
 {
@@ -128,57 +129,54 @@ makeCase(std::size_t m, std::size_t n, std::size_t batch, int bits,
 
 MatrixD
 runBackend(const GemmCase &tc, LutGemmBackend backend, int threads,
-           int block_rows, bool pre_aligned,
-           LutGemmCounters *counters = nullptr)
+           int block_rows, bool pre_aligned)
 {
     LutGemmConfig cfg;
     cfg.backend = backend;
     cfg.threads = threads;
     cfg.blockRows = block_rows;
     cfg.preAligned = pre_aligned;
-    return lutGemm(tc.weights, tc.x, cfg, counters);
+    return lutGemm(tc.weights, tc.x, cfg);
 }
 
-TEST(LutGemmThreaded, OneThreadBitIdenticalToReference)
+TEST(LutGemmTiled, OneThreadBitIdenticalToReference)
 {
     const auto tc = makeCase(32, 64, 3, 3, 16, true, 901);
     for (const bool pre : {false, true}) {
         const auto ref =
             runBackend(tc, LutGemmBackend::Reference, 0, 64, pre);
-        const auto thr =
-            runBackend(tc, LutGemmBackend::Threaded, 1, 64, pre);
-        EXPECT_TRUE(compareMatrices(thr, ref).identical)
+        const auto simd = runBackend(tc, LutGemmBackend::Simd, 1, 64, pre);
+        EXPECT_TRUE(compareMatrices(simd, ref).identical)
             << "preAligned=" << pre;
     }
 }
 
-TEST(LutGemmThreaded, ManyThreadsBitIdenticalToReference)
+TEST(LutGemmTiled, ManyThreadsBitIdenticalToReference)
 {
     const auto tc = makeCase(64, 96, 4, 2, 24, true, 902);
     for (const bool pre : {false, true}) {
         const auto ref =
             runBackend(tc, LutGemmBackend::Reference, 0, 64, pre);
-        const auto thr =
-            runBackend(tc, LutGemmBackend::Threaded, 8, 8, pre);
-        EXPECT_TRUE(compareMatrices(thr, ref).identical)
+        const auto simd = runBackend(tc, LutGemmBackend::Simd, 8, 8, pre);
+        EXPECT_TRUE(compareMatrices(simd, ref).identical)
             << "preAligned=" << pre;
     }
 }
 
-TEST(LutGemmThreaded, BlockRowsSweepIsTilingInvariant)
+TEST(LutGemmTiled, BlockRowsSweepIsTilingInvariant)
 {
     const auto tc = makeCase(40, 48, 2, 3, 0, true, 903);
     const auto ref = runBackend(tc, LutGemmBackend::Reference, 0, 64, true);
     // Including block sizes that do not divide M and exceed M.
     for (const int block_rows : {1, 3, 7, 16, 40, 64, 1000}) {
-        const auto thr = runBackend(tc, LutGemmBackend::Threaded, 4,
-                                    block_rows, true);
-        EXPECT_TRUE(compareMatrices(thr, ref).identical)
+        const auto simd =
+            runBackend(tc, LutGemmBackend::Simd, 4, block_rows, true);
+        EXPECT_TRUE(compareMatrices(simd, ref).identical)
             << "blockRows=" << block_rows;
     }
 }
 
-TEST(LutGemmThreaded, RandomizedShapesDifferential)
+TEST(LutGemmTiled, RandomizedShapesDifferential)
 {
     Rng shapes(904);
     for (int trial = 0; trial < 12; ++trial) {
@@ -201,9 +199,9 @@ TEST(LutGemmThreaded, RandomizedShapesDifferential)
                                  905 + static_cast<uint64_t>(trial));
         const auto ref =
             runBackend(tc, LutGemmBackend::Reference, 0, 64, pre);
-        const auto thr = runBackend(tc, LutGemmBackend::Threaded, threads,
-                                    block_rows, pre);
-        EXPECT_TRUE(compareMatrices(thr, ref).identical)
+        const auto simd = runBackend(tc, LutGemmBackend::Simd, threads,
+                                     block_rows, pre);
+        EXPECT_TRUE(compareMatrices(simd, ref).identical)
             << "trial " << trial << ": " << m << "x" << n << " batch "
             << batch << " bits " << bits << " group " << group
             << " offset " << offset << " pre " << pre << " threads "
@@ -211,36 +209,11 @@ TEST(LutGemmThreaded, RandomizedShapesDifferential)
     }
 }
 
-TEST(LutGemmThreaded, CountersMatchReferenceExceptLutBuilds)
-{
-    const auto tc = makeCase(32, 64, 2, 3, 0, true, 906);
-    LutGemmCounters ref_cnt, thr_cnt;
-    (void)runBackend(tc, LutGemmBackend::Reference, 0, 64, false, &ref_cnt);
-    (void)runBackend(tc, LutGemmBackend::Threaded, 4, 8, false, &thr_cnt);
-    // Row-space work is tiling-invariant.
-    EXPECT_EQ(thr_cnt.lutReads, ref_cnt.lutReads);
-    EXPECT_EQ(thr_cnt.racAccumulates, ref_cnt.racAccumulates);
-    EXPECT_EQ(thr_cnt.scaleMuls, ref_cnt.scaleMuls);
-    EXPECT_EQ(thr_cnt.offsetOps, ref_cnt.offsetOps);
-    // LUTs are rebuilt once per row block: 32 rows / 8 = 4 blocks.
-    EXPECT_EQ(thr_cnt.lutGenerations, ref_cnt.lutGenerations * 4);
-    EXPECT_EQ(thr_cnt.generatorAdds, ref_cnt.generatorAdds * 4);
-}
-
-TEST(LutGemmThreaded, InvalidBlockRowsThrows)
-{
-    const auto tc = makeCase(4, 16, 1, 2, 0, false, 907);
-    LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Threaded;
-    cfg.blockRows = 0;
-    EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg), FatalError);
-}
-
-TEST(LutGemmThreaded, AbsurdThreadCountThrowsInsteadOfSpawning)
+TEST(LutGemmTiled, AbsurdThreadCountThrowsInsteadOfSpawning)
 {
     const auto tc = makeCase(4, 16, 1, 2, 0, false, 908);
     LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Threaded;
+    cfg.backend = LutGemmBackend::Simd;
     cfg.threads = kMaxLutGemmThreads + 1;
     EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg), FatalError);
 }

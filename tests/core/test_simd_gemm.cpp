@@ -1,13 +1,15 @@
 /**
  * @file
  * Differential tests for the Simd LUT-GEMM backend and the runtime
- * ISA dispatcher: 4-backend bit-identity (Reference / Threaded /
- * Packed / Simd) over randomized shapes and configs, cross-ISA
+ * ISA dispatcher: Reference vs Simd bit-identity under every
+ * dispatchable ISA over randomized shapes and configs, cross-ISA
  * bit-identity under forced dispatch, counter equivalence, pre-packed
  * key reuse, and the guarantee that dispatch never selects an ISA the
  * binary was not compiled with (the CI scalar-build leg runs these
  * same tests with FIGLUT_SIMD_AVX2=OFF).
  */
+
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -130,16 +132,27 @@ TEST(SimdDispatch, OverrideClampsToCompiledIsas)
     EXPECT_EQ(simdKernelsFor(SimdIsa::Scalar).isa, SimdIsa::Scalar);
 }
 
-// ------------------------------------------------- 4-backend identity
+// --------------------------------------------------- backend identity
+
+/** Every ISA the dispatcher can select on this host, Scalar first. */
+std::vector<SimdIsa>
+supportedIsas()
+{
+    std::vector<SimdIsa> isas{SimdIsa::Scalar};
+    for (const auto isa : {SimdIsa::Avx2, SimdIsa::Neon})
+        if (simdIsaSupported(isa))
+            isas.push_back(isa);
+    return isas;
+}
 
 /**
- * The ISSUE's randomized 4-backend differential suite: odd shapes,
- * tail chunks, mu in [1, kMaxMu], offset/half-LUT/generator on/off,
- * both numeric paths, and every FpArith accumulate mode (Fp16/Bf16
- * exercise the Simd backend's scalar-arith fallback) — Reference,
- * Threaded, Packed and Simd must agree bit for bit.
+ * The randomized backend differential suite: odd shapes, tail chunks,
+ * mu in [1, kMaxMu], offset/half-LUT/generator on/off, both numeric
+ * paths, and every FpArith accumulate mode (Fp16/Bf16 exercise the
+ * Simd backend's scalar key walk) — Simd under every forced ISA must
+ * agree with Reference bit for bit.
  */
-TEST(SimdGemm, RandomizedFourBackendBitIdentity)
+TEST(SimdGemm, RandomizedBitIdentityEveryIsa)
 {
     Rng shapes(2001);
     const FpArith ariths[] = {FpArith::Fp32, FpArith::Exact,
@@ -169,9 +182,6 @@ TEST(SimdGemm, RandomizedFourBackendBitIdentity)
         const auto tc = makeCase(m, n, batch, bits, group, offset,
                                  2100 + static_cast<uint64_t>(trial));
         const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
-        const auto thr = runBackend(tc, cfg, LutGemmBackend::Threaded);
-        const auto packed = runBackend(tc, cfg, LutGemmBackend::Packed);
-        const auto simd = runBackend(tc, cfg, LutGemmBackend::Simd);
 
         const std::string what =
             "trial " + std::to_string(trial) + ": " + std::to_string(m) +
@@ -182,11 +192,13 @@ TEST(SimdGemm, RandomizedFourBackendBitIdentity)
             std::to_string(cfg.useHalfLut) + " tree " +
             std::to_string(cfg.useGeneratorTree) + " pre " +
             std::to_string(cfg.preAligned) + " arith " +
-            std::to_string(static_cast<int>(cfg.arith)) + " isa " +
-            simdIsaName(activeSimdIsa());
-        EXPECT_TRUE(compareMatrices(thr, ref).identical) << what;
-        EXPECT_TRUE(compareMatrices(packed, ref).identical) << what;
-        EXPECT_TRUE(compareMatrices(simd, ref).identical) << what;
+            std::to_string(static_cast<int>(cfg.arith));
+        for (const auto isa : supportedIsas()) {
+            IsaOverrideGuard guard(isa);
+            const auto simd = runBackend(tc, cfg, LutGemmBackend::Simd);
+            EXPECT_TRUE(compareMatrices(simd, ref).identical)
+                << what << " isa " << simdIsaName(isa);
+        }
     }
 }
 
@@ -218,12 +230,11 @@ TEST(SimdGemm, ForcedIsaSweepIsBitIdentical)
             EXPECT_TRUE(compareMatrices(vec, baseline).identical)
                 << "pre=" << pre << " isa=" << simdIsaName(isa);
         }
-        // And the scalar-forced Simd backend equals Packed exactly.
-        LutGemmConfig packedCfg = cfg;
-        packedCfg.backend = LutGemmBackend::Packed;
-        IsaOverrideGuard guard(SimdIsa::Scalar);
-        const auto packed = lutGemm(tc.weights, tc.x, packedCfg);
-        EXPECT_TRUE(compareMatrices(baseline, packed).identical)
+        // And the scalar-forced Simd backend equals Reference exactly.
+        LutGemmConfig refCfg = cfg;
+        refCfg.backend = LutGemmBackend::Reference;
+        const auto ref = lutGemm(tc.weights, tc.x, refCfg);
+        EXPECT_TRUE(compareMatrices(baseline, ref).identical)
             << "pre=" << pre;
     }
 }
@@ -259,7 +270,7 @@ TEST(SimdGemm, PrepackedKeysReuse)
         EXPECT_TRUE(compareMatrices(reused, internal).identical)
             << "call " << call;
     }
-    // Pre-packed keys stay rejected for the non-packed backends.
+    // Pre-packed keys stay rejected for the Reference backend.
     LutGemmConfig refCfg = cfg;
     refCfg.backend = LutGemmBackend::Reference;
     EXPECT_THROW(lutGemm(tc.weights, tc.x, refCfg, packedKeys),
@@ -271,11 +282,11 @@ TEST(SimdGemm, PrepackedKeysReuse)
 /**
  * Counter equivalence for the Simd path: the closed-form counts of an
  * uninstrumented Simd call must equal both its own instrumented
- * per-read counts and the Packed backend's (Simd shares the
- * build-each-LUT-set-once traversal, so every counter is
- * backend-invariant between the two).
+ * per-read counts (the scalar key walk) and the Reference backend's
+ * (both build each LUT set once, so every counter is
+ * backend-invariant).
  */
-TEST(SimdGemm, CountersMatchInstrumentedAndPacked)
+TEST(SimdGemm, CountersMatchInstrumentedAndReference)
 {
     Rng shapes(2500);
     for (int trial = 0; trial < 6; ++trial) {
@@ -298,15 +309,15 @@ TEST(SimdGemm, CountersMatchInstrumentedAndPacked)
                                  2600 + static_cast<uint64_t>(trial));
         const std::string what = "trial " + std::to_string(trial);
 
-        LutGemmCounters closed, instrumented, packed;
+        LutGemmCounters closed, instrumented, ref;
         cfg.instrument = false;
         (void)runBackend(tc, cfg, LutGemmBackend::Simd, &closed);
         cfg.instrument = true;
         (void)runBackend(tc, cfg, LutGemmBackend::Simd, &instrumented);
         cfg.instrument = false;
-        (void)runBackend(tc, cfg, LutGemmBackend::Packed, &packed);
+        (void)runBackend(tc, cfg, LutGemmBackend::Reference, &ref);
         expectCountersEqual(closed, instrumented, what + " instrumented");
-        expectCountersEqual(closed, packed, what + " vs packed");
+        expectCountersEqual(closed, ref, what + " vs reference");
     }
 }
 

@@ -8,6 +8,8 @@
  * restarts from scratch to a bit-identical result.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "serve/engine.h"
@@ -74,6 +76,19 @@ TEST(Governance, ConfigKnobsAreValidated)
     bad.deadlineS = -1.0;
     EXPECT_EQ(engine.value()->submit(bad).status().code(),
               StatusCode::InvalidArgument);
+    // So is a non-finite one: NaN would pass a plain `< 0` check and
+    // then expire the request on its first step.
+    for (const double deadline :
+         {std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity()}) {
+        bad.deadlineS = deadline;
+        EXPECT_EQ(engine.value()->submit(bad).status().code(),
+                  StatusCode::InvalidArgument)
+            << deadline;
+    }
+    EXPECT_EQ(engine.value()->liveRequests(), 0u);
+    EXPECT_EQ(engine.value()->queuedRequests(), 0u);
 }
 
 TEST(Governance, DeadlineExpiryRetiresActiveAndQueued)
