@@ -84,8 +84,8 @@
 #include "runtime/session.h"
 
 #include "serve/clock.h"
-#include "serve/degradation.h"
 #include "serve/engine.h"
 #include "serve/request.h"
+#include "serve/scheduler.h"
 
 #endif // FIGLUT_FIGLUT_H

@@ -1,6 +1,5 @@
 #include "serve/engine.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -123,15 +122,27 @@ validateEngineConfig(const OptConfig &model, const EngineOptions &options)
     return validateExecOptions(options.exec, options.model.mu);
 }
 
-KvArena::Options
-arenaOptionsFor(const OptConfig &model, const EngineOptions &options)
+SchedulerOptions
+schedulerOptionsFor(const OptConfig &model, const EngineOptions &options)
 {
-    KvArena::Options arena;
-    arena.hidden = model.hidden;
-    arena.layers = model.layers;
-    arena.blockTokens = options.kvBlockTokens;
-    arena.budgetBytes = options.kvBudgetBytes;
-    return arena;
+    SchedulerOptions sched;
+    sched.maxBatch = options.maxBatch;
+    sched.maxQueue = options.maxQueue;
+    sched.prefillChunkTokens = options.prefillChunkTokens;
+    sched.policy = options.policy;
+    sched.arena.hidden = model.hidden;
+    sched.arena.layers = model.layers;
+    sched.arena.blockTokens = options.kvBlockTokens;
+    sched.arena.budgetBytes = options.kvBudgetBytes;
+    sched.faults = options.faults;
+    return sched;
+}
+
+/** Request ids are scheduler handles shifted by one (0 is never an id). */
+RequestId
+idOf(Scheduler::Handle h)
+{
+    return h + 1;
 }
 
 } // namespace
@@ -148,7 +159,7 @@ Engine::Engine(const OptConfig &model, const EngineOptions &options)
     : model_(model, modelOptionsFor(options)), options_(options),
       ctx_(options.exec.threads),
       clock_(options.clock != nullptr ? options.clock : &ownedClock_),
-      arena_(arenaOptionsFor(model, options), options.faults)
+      scheduler_(schedulerOptionsFor(model, options))
 {
     options_.model.packKeys = model_.options().packKeys;
     // Only the semantic op order is needed to drive the numeric step;
@@ -161,94 +172,48 @@ Engine::Engine(const OptConfig &model, const EngineOptions &options)
         layerOps_.push_back(spec.op);
 }
 
-Engine::Request *
-Engine::find(RequestId id)
+Status
+Engine::checkLive(RequestId id) const
 {
-    const auto it = requests_.find(id);
-    return it == requests_.end() ? nullptr : &it->second;
-}
-
-const Engine::Request *
-Engine::find(RequestId id) const
-{
-    const auto it = requests_.find(id);
-    return it == requests_.end() ? nullptr : &it->second;
-}
-
-std::size_t
-Engine::contextTokens(const Request &req) const
-{
-    // The arena sequence is authoritative while it exists; otherwise
-    // (queued, or re-queued after an eviction) the analytic count is
-    // the per-life bookkeeping. Unlike the synthetic-prompt era this
-    // is honest: prompt entries exist only once prefill computed them.
-    if (req.seq != KvArena::kInvalidSeq)
-        return arena_.tokens(req.seq);
-    return req.prefillDone + req.lifeTokens;
-}
-
-std::size_t
-Engine::remainingPrompt(const Request &req) const
-{
-    const std::size_t prompt =
-        req.promptDropped ? 0 : req.options.promptTokens;
-    return prompt > req.prefillDone ? prompt - req.prefillDone : 0;
+    if (!known(id))
+        return Status::notFound("unknown request id ", id);
+    const RequestState state = scheduler_.state(id - 1);
+    if (requestStateTerminal(state))
+        return Status::failedPrecondition("request ", id,
+                                          " already retired (",
+                                          requestStateName(state), ")");
+    return Status::okStatus();
 }
 
 Result<RequestId>
 Engine::submit(const RequestOptions &request)
 {
-    // The negated form also rejects NaN, which compares false with
-    // everything and would otherwise expire on the first step.
-    if (!(std::isfinite(request.deadlineS) && request.deadlineS >= 0.0))
-        return Status::invalidArgument(
-            "request deadlineS must be finite and >= 0, got ",
-            request.deadlineS);
-    // A new request only bypasses the queue when the queue is empty —
-    // earlier submits waiting for a slot keep their FIFO position even
-    // if a cancellation just freed one (the next step admits them).
-    const bool direct =
-        active_.size() < options_.maxBatch && queue_.empty();
-    if (!direct && queue_.size() >= options_.maxQueue)
-        return Status::resourceExhausted(
-            "engine at capacity: ", active_.size(), " live (maxBatch ",
-            options_.maxBatch, ") and ", queue_.size(),
-            " queued (maxQueue ", options_.maxQueue,
-            "); retry after step() retires traffic");
+    const double nowS = clock_->now();
+    // Deadlines count from submit time, which also stamps a direct
+    // admission.
+    const Result<Scheduler::Handle> h =
+        scheduler_.submit(request, nowS, nowS);
+    if (!h.ok())
+        return h.status();
 
-    const RequestId id = nextId_++;
     Request req;
     req.options = request;
-    req.submitTimeS = clock_->now();
+    req.submitTimeS = nowS;
     // The initial hidden state comes first in the request's RNG
     // stream; the prompt embeddings follow, but are materialized
     // lazily at the request's first work step (see prepareLife) so
     // queued traffic holds no prompt or KV bytes.
     Rng rng(request.seed);
     req.hidden = syntheticActivations(model_.config().hidden, 1, rng);
-    if (direct) {
-        req.state = RequestState::Active;
-        req.admitSeq = ++admitCounter_;
-        req.lastActivityS = req.submitTimeS;
-        active_.push_back(id);
-    } else {
-        req.state = RequestState::Queued;
-        queue_.push_back(id);
-    }
-    requests_.emplace(id, std::move(req));
-    return id;
+    requests_.push_back(std::move(req));
+    return idOf(h.value());
 }
 
 Status
 Engine::provideInput(RequestId id, const MatrixD &hidden)
 {
-    Request *req = find(id);
-    if (req == nullptr)
-        return Status::notFound("unknown request id ", id);
-    if (requestStateTerminal(req->state))
-        return Status::failedPrecondition(
-            "request ", id, " already retired (",
-            requestStateName(req->state), ")");
+    if (Status s = checkLive(id); !s.ok())
+        return s;
     const std::size_t h = model_.config().hidden;
     if (hidden.rows() != h || hidden.cols() != 1)
         return Status::invalidArgument("request input must be ", h,
@@ -262,168 +227,24 @@ Engine::provideInput(RequestId id, const MatrixD &hidden)
             return Status::invalidArgument("request input element ", r,
                                            " is not finite: ",
                                            hidden(r, 0));
-    req->hidden = hidden;
+    requests_[id - 1].hidden = hidden;
     return Status::okStatus();
 }
 
-std::size_t
-Engine::admitFromQueue(double nowS)
+void
+Engine::retainKv(Request &req, Scheduler::Handle h)
 {
-    // queueSeconds is deliberately NOT stamped here: admission is
-    // bookkeeping, not decode. step() stamps it at the start of the
-    // first fused step that actually decodes the request, so the full
-    // pre-decode wait (queue + admitted-but-idle) lands in one bucket.
-    std::size_t admitted = 0;
-    while (active_.size() < options_.maxBatch && !queue_.empty()) {
-        const RequestId id = queue_.front();
-        queue_.pop_front();
-        Request &req = requests_.at(id);
-        req.state = RequestState::Active;
-        req.admitSeq = ++admitCounter_;
-        req.lastActivityS = nowS;
-        active_.push_back(id);
-        ++admitted;
-    }
-    return admitted;
+    const KvArena::SeqId seq = scheduler_.sequence(h);
+    if (options_.retainFinishedKv && seq != KvArena::kInvalidSeq)
+        req.retainedKv = scheduler_.arena().materialize(seq);
 }
 
 void
-Engine::retireSequence(Request &req, bool retain)
-{
-    if (req.seq == KvArena::kInvalidSeq)
-        return;
-    if (retain && options_.retainFinishedKv)
-        req.retainedKv = arena_.materialize(req.seq);
-    arena_.releaseSequence(req.seq);
-    req.seq = KvArena::kInvalidSeq;
-}
-
-void
-Engine::sweepDeadlines(double nowS, std::vector<RequestId> &expired)
-{
-    // Active columns first, then the queue, both in order — the same
-    // sweep order replayTrace() mirrors.
-    std::vector<RequestId> sweep(active_.begin(), active_.end());
-    sweep.insert(sweep.end(), queue_.begin(), queue_.end());
-    for (const RequestId id : sweep) {
-        Request &req = requests_.at(id);
-        if (req.options.deadlineS <= 0.0 ||
-            nowS <= req.submitTimeS + req.options.deadlineS)
-            continue;
-        retireSequence(req, /*retain=*/false);
-        removeFromSchedule(id);
-        req.state = RequestState::DeadlineExceeded;
-        req.terminal = Status::deadlineExceeded(
-            "request ", id, " missed its ", req.options.deadlineS,
-            "s deadline at t=", nowS);
-        expired.push_back(id);
-    }
-}
-
-void
-Engine::reserveStep(StepStats &stats, std::vector<std::size_t> &work,
-                    double nowS)
-{
-    // Work assignment first: each live request's column count this
-    // step — its prefill chunk out of the shared per-step budget, or
-    // one decode column (serve/degradation.h).
-    std::vector<std::size_t> remaining;
-    remaining.reserve(active_.size());
-    for (const RequestId id : active_)
-        remaining.push_back(remainingPrompt(requests_.at(id)));
-    const std::vector<std::size_t> assigned =
-        planPrefillChunks(remaining, options_.prefillChunkTokens);
-
-    // The reservation view covers the working requests only: a
-    // stalled prefill (chunk budget exhausted this step) needs no new
-    // tokens and keeps its held blocks — it is neither a requester
-    // nor a victim this step.
-    std::vector<ReservationItem> items;
-    std::vector<std::size_t> itemToActive;
-    items.reserve(active_.size());
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (assigned[i] == 0)
-            continue;
-        Request &req = requests_.at(active_[i]);
-        if (req.seq == KvArena::kInvalidSeq)
-            req.seq = arena_.createSequence();
-        ReservationItem item;
-        item.seq = req.seq;
-        item.needTokens = contextTokens(req) + assigned[i];
-        item.lastActivityS = req.lastActivityS;
-        item.admitSeq = req.admitSeq;
-        items.push_back(item);
-        itemToActive.push_back(i);
-    }
-    const ReservationPlan plan =
-        planStepReservations(arena_, options_.policy, items);
-
-    // The planner already released every victim's sequence; apply the
-    // request-side transitions here.
-    std::vector<char> dropped(active_.size(), 0);
-    std::vector<RequestId> evicted;
-    for (const std::size_t idx : plan.evicted) {
-        const std::size_t slot = itemToActive[idx];
-        const RequestId id = active_[slot];
-        Request &req = requests_.at(id);
-        req.seq = KvArena::kInvalidSeq;
-        req.state = RequestState::Preempted;
-        req.stats.preemptions += 1;
-        req.lifeTokens = 0;
-        req.prefillDone = 0;
-        req.promptEmbeds = MatrixD();
-        req.lifeReady = false;
-        req.restartPending = true;
-        req.requeuedAtS = nowS;
-        dropped[slot] = 1;
-        evicted.push_back(id);
-        stats.evictedIds.push_back(id);
-    }
-    for (const std::size_t idx : plan.shed) {
-        const std::size_t slot = itemToActive[idx];
-        const RequestId id = active_[slot];
-        Request &req = requests_.at(id);
-        req.seq = KvArena::kInvalidSeq;
-        req.state = RequestState::Shed;
-        req.terminal = Status::resourceExhausted(
-            "request ", id, " shed: KV budget of ",
-            options_.kvBudgetBytes, " bytes cannot back its next token ",
-            "(policy ", degradationPolicyName(options_.policy), ")");
-        dropped[slot] = 1;
-        stats.shedIds.push_back(id);
-    }
-
-    // Survivors keep their batch order (stalled prefills stay live
-    // with zero columns this step); evicted requests rejoin the queue
-    // FRONT in admission order, ahead of never-admitted traffic (they
-    // already waited once).
-    std::vector<RequestId> keep;
-    keep.reserve(active_.size());
-    work.clear();
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (dropped[i])
-            continue;
-        keep.push_back(active_[i]);
-        work.push_back(assigned[i]);
-    }
-    active_ = std::move(keep);
-    std::sort(evicted.begin(), evicted.end(),
-              [this](RequestId a, RequestId b) {
-                  return requests_.at(a).admitSeq >
-                         requests_.at(b).admitSeq;
-              });
-    for (const RequestId id : evicted) {
-        requests_.at(id).state = RequestState::Queued;
-        queue_.push_front(id);
-    }
-}
-
-void
-Engine::prepareLife(Request &req)
+Engine::prepareLife(Request &req, Scheduler::Handle h)
 {
     if (req.lifeReady)
         return;
-    const std::size_t h = model_.config().hidden;
+    const std::size_t hidden = model_.config().hidden;
     // Replay the submit-time RNG stream: hidden state first, then the
     // prompt embeddings. On a preemption restart the redrawn hidden
     // replaces the evicted life's progress (the from-scratch
@@ -431,73 +252,69 @@ Engine::prepareLife(Request &req)
     // exact draw (or a provideInput override, which must win), so the
     // redraw is discarded.
     Rng rng(req.options.seed);
-    MatrixD first = syntheticActivations(h, 1, rng);
+    MatrixD first = syntheticActivations(hidden, 1, rng);
     if (req.stats.preemptions > 0)
         req.hidden = std::move(first);
-    const std::size_t prompt = remainingPrompt(req);
+    const std::size_t prompt = scheduler_.remainingPrompt(h);
     if (prompt > 0)
-        req.promptEmbeds = syntheticActivations(h, prompt, rng);
+        req.promptEmbeds = syntheticActivations(hidden, prompt, rng);
     req.lifeReady = true;
 }
 
 Result<StepStats>
 Engine::step()
 {
-    if (active_.empty() && queue_.empty())
+    if (scheduler_.activeCount() == 0 && scheduler_.queuedCount() == 0)
         return Status::failedPrecondition(
             "no live requests to decode; submit() first");
 
     StepStats stats;
     const double t0 = clock_->now();
-    // Injected skew shifts only the deadline clock: latency accounting
-    // stays on the real time source, but deadlines can fire early or
-    // late — the overload harness's "clock skew" fault.
-    const double skewS = options_.faults != nullptr
-                             ? options_.faults->clockSkewS(stepsExecuted_)
-                             : 0.0;
-    sweepDeadlines(t0 + skewS, stats.deadlineIds);
-
-    stats.admitted = admitFromQueue(t0);
-    if (active_.empty()) {
-        // The sweep emptied the schedule. Not an error (the caller
-        // did have live traffic) — an empty step that decodes nothing
-        // and does not count toward stepsExecuted().
-        stats.queueDepth = queue_.size();
-        stats.kvBlocksInUse = arena_.blocksInUse();
-        stats.kvBytesInUse = arena_.bytesInUse();
-        return stats;
+    // Deadline sweep, admission, chunk assignment and the KV
+    // reservation pass: after this, every planned column has its arena
+    // slot block-backed, so the numeric step cannot fail.
+    const Scheduler::StepPlan &plan = scheduler_.planStep(t0);
+    stats.admitted = plan.admitted;
+    for (const Scheduler::Handle h : plan.expired) {
+        const RequestId id = idOf(h);
+        requests_[h].terminal = Status::deadlineExceeded(
+            "request ", id, " missed its ",
+            requests_[h].options.deadlineS, "s deadline at t=",
+            plan.deadlineNowS);
+        stats.deadlineIds.push_back(id);
     }
-
-    // Work assignment + KV reservation pass: after this, every
-    // assigned column has its arena slot block-backed, so the numeric
-    // step cannot fail.
-    std::vector<std::size_t> work;
-    reserveStep(stats, work, t0);
-    std::vector<Request *> live;
-    std::vector<RequestId> liveIds;
-    std::vector<std::size_t> columns;
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (work[i] == 0)
-            continue;
-        live.push_back(&requests_.at(active_[i]));
-        liveIds.push_back(active_[i]);
-        columns.push_back(work[i]);
+    for (const Scheduler::Handle h : plan.evicted) {
+        // The restart recomputes the life from the seed.
+        Request &req = requests_[h];
+        req.stats.preemptions += 1;
+        req.promptEmbeds = MatrixD();
+        req.lifeReady = false;
+        req.restartPending = true;
+        req.requeuedAtS = t0;
+        stats.evictedIds.push_back(idOf(h));
     }
-    if (live.empty()) {
-        // Governance dropped every working column (all shed, or every
-        // budget-holding request evicted and re-queued, leaving at
-        // most stalled prefills). Refill and report the empty step;
-        // the next step re-assigns the chunk budget.
-        stats.admitted += admitFromQueue(t0);
-        stats.queueDepth = queue_.size();
-        stats.kvBlocksInUse = arena_.blocksInUse();
-        stats.kvBytesInUse = arena_.bytesInUse();
+    for (const Scheduler::Handle h : plan.shed) {
+        const RequestId id = idOf(h);
+        requests_[h].terminal = Status::resourceExhausted(
+            "request ", id, " shed: KV budget of ",
+            options_.kvBudgetBytes, " bytes cannot back its next token ",
+            "(policy ", degradationPolicyName(options_.policy), ")");
+        stats.shedIds.push_back(id);
+    }
+    const KvArena &arena = scheduler_.arena();
+    if (plan.work.empty()) {
+        // Governance left nothing to compute (every request expired,
+        // shed, evicted, or stalled): an empty step that does not
+        // count toward stepsExecuted().
+        stats.queueDepth = scheduler_.queuedCount();
+        stats.kvBlocksInUse = arena.blocksInUse();
+        stats.kvBytesInUse = arena.bytesInUse();
         return stats;
     }
 
     const OptConfig &cfg = model_.config();
     const std::size_t h = cfg.hidden;
-    const std::size_t b = live.size();
+    const std::size_t b = plan.work.size();
     stats.liveRequests = b;
 
     // First work step of a life: replay the seed (restart hidden
@@ -505,11 +322,9 @@ Engine::step()
     // before this instant was waiting (queue + admitted-but-idle), not
     // compute. A restarted life instead books its renewed wait into
     // restartSeconds.
-    std::vector<char> prefilling(b, 0);
-    std::vector<std::size_t> held(b, 0);
-    for (std::size_t w = 0; w < b; ++w) {
-        Request &req = *live[w];
-        prepareLife(req);
+    for (const Scheduler::Work &w : plan.work) {
+        Request &req = requests_[w.handle];
+        prepareLife(req, w.handle);
         if (!req.everWorked) {
             req.stats.queueSeconds = t0 - req.submitTimeS;
             req.everWorked = true;
@@ -518,39 +333,34 @@ Engine::step()
             req.stats.restartSeconds += t0 - req.requeuedAtS;
             req.restartPending = false;
         }
-        prefilling[w] = remainingPrompt(req) > 0 ? 1 : 0;
-        held[w] = contextTokens(req);
     }
 
     // Gather: each working request's columns are contiguous in the
-    // fused batch — its next prefill chunk (prompt embedding columns)
-    // while its prompt is unfinished, its one decode column (the
-    // latest hidden state) after — so every layer GEMM below runs
-    // once over the whole mixed-width batch.
-    std::size_t W = 0;
-    for (const std::size_t c : columns)
-        W += c;
+    // fused batch — its next prefill chunk (prompt embedding columns,
+    // from the prefilled position: a prefilling life has decoded
+    // nothing, so that is `held`) while its prompt is unfinished, its
+    // one decode column (the latest hidden state) after — so every
+    // layer GEMM below runs once over the whole mixed-width batch.
+    const std::size_t W = plan.columnContexts.size();
     MatrixD x(h, W);
     std::size_t base = 0;
-    for (std::size_t w = 0; w < b; ++w) {
-        Request &req = *live[w];
-        if (prefilling[w]) {
-            for (std::size_t j = 0; j < columns[w]; ++j)
+    for (const Scheduler::Work &w : plan.work) {
+        const Request &req = requests_[w.handle];
+        if (w.prefill) {
+            for (std::size_t j = 0; j < w.columns; ++j)
                 for (std::size_t r = 0; r < h; ++r)
-                    x(r, base + j) =
-                        req.promptEmbeds(r, req.prefillDone + j);
-            stats.prefillIds.push_back(liveIds[w]);
-            stats.prefillTokens += columns[w];
+                    x(r, base + j) = req.promptEmbeds(r, w.held + j);
+            stats.prefillIds.push_back(idOf(w.handle));
+            stats.prefillTokens += w.columns;
         } else {
             for (std::size_t r = 0; r < h; ++r)
                 x(r, base) = req.hidden(r, 0);
-            stats.decodedIds.push_back(liveIds[w]);
+            stats.decodedIds.push_back(idOf(w.handle));
             stats.decodeTokens += 1;
         }
-        for (std::size_t j = 0; j < columns[w]; ++j)
-            stats.columnContexts.push_back(held[w] + j + 1);
-        base += columns[w];
+        base += w.columns;
     }
+    stats.columnContexts = plan.columnContexts;
 
     const LutGemmConfig gemmCfg =
         makeGemmConfig(options_.exec, options_.model.mu);
@@ -571,6 +381,7 @@ Engine::step()
     // is bit-identical to running alone (the differential suite pins
     // this) — and a prefill chunked any which way is bit-identical to
     // the whole prompt in one step (the prefill suite pins that).
+    KvArena &kv = scheduler_.arena();
     MatrixD ln, qkv, attn, proj, ffn;
     std::vector<std::vector<KvTokenRef>> views(W);
     std::vector<KvTokenRef> full;
@@ -587,30 +398,30 @@ Engine::step()
               case LayerOp::Attention: {
                 MatrixD q(h, W);
                 std::size_t c0 = 0;
-                for (std::size_t w = 0; w < b; ++w) {
+                for (const Scheduler::Work &w : plan.work) {
+                    const KvArena::SeqId seq = scheduler_.sequence(w.handle);
                     // Every column's K/V go straight into reserved
                     // arena slots — then each column attends causally
                     // over the prefix ending at itself: position
                     // held + j sees held + j + 1 entries. For a decode
                     // column that prefix is the full sequence, exactly
                     // the old decode attention.
-                    for (std::size_t j = 0; j < columns[w]; ++j) {
+                    for (std::size_t j = 0; j < w.columns; ++j) {
                         const std::size_t c = c0 + j;
-                        const KvArena::TokenSlot slot =
-                            arena_.appendToken(live[w]->seq, l);
+                        const KvArena::TokenSlot slot = kv.appendToken(seq, l);
                         for (std::size_t r = 0; r < h; ++r) {
                             q(r, c) = qkv(r, c);
                             slot.k[r] = qkv(h + r, c);
                             slot.v[r] = qkv(2 * h + r, c);
                         }
                     }
-                    arena_.tokenRefs(live[w]->seq, l, full);
-                    for (std::size_t j = 0; j < columns[w]; ++j)
+                    kv.tokenRefs(seq, l, full);
+                    for (std::size_t j = 0; j < w.columns; ++j)
                         views[c0 + j].assign(
                             full.begin(),
                             full.begin() +
-                                (full.size() - columns[w] + j + 1));
-                    c0 += columns[w];
+                                (full.size() - w.columns + j + 1));
+                    c0 += w.columns;
                 }
                 attn = referenceDecodeAttention(q, views, cfg.heads);
                 break;
@@ -639,187 +450,125 @@ Engine::step()
     const double t1 = clock_->now();
     stats.seconds = t1 - t0;
 
-    // Scatter + per-request accounting, then retire exhausted budgets.
-    // Counter shares are token-weighted: each request gets the
-    // per-column share times the columns it contributed, and the
-    // shares must reassemble to the step total exactly.
+    // Scatter + per-request accounting. Counter shares are
+    // token-weighted: each request gets the per-column share times the
+    // columns it contributed, and the shares must reassemble to the
+    // step total exactly.
     const LutGemmCounters share = perColumnShare(stats.counters, W);
     LutGemmCounters reassembled;
-    std::vector<RequestId> retired;
     base = 0;
-    for (std::size_t w = 0; w < b; ++w) {
-        Request &req = *live[w];
-        const LutGemmCounters reqShare = scaleCounters(share, columns[w]);
+    for (const Scheduler::Work &w : plan.work) {
+        Request &req = requests_[w.handle];
+        const LutGemmCounters reqShare = scaleCounters(share, w.columns);
         accumulate(req.stats.counters, reqShare);
         accumulate(reassembled, reqShare);
         req.stats.gemmCalls += stats.gemmCalls;
         req.stats.decodeSeconds += stats.seconds;
-        req.lastActivityS = t0;
-        if (prefilling[w]) {
-            req.prefillDone += columns[w];
-            req.stats.prefillTokens += columns[w];
+        if (w.prefill) {
+            req.stats.prefillTokens += w.columns;
             req.stats.prefillSeconds += stats.seconds;
-            if (remainingPrompt(req) == 0) {
+            if (scheduler_.remainingPrompt(w.handle) == w.columns) {
                 // Prefill complete: the final prompt column's output
                 // is the first decode input; the embeddings are spent.
                 for (std::size_t r = 0; r < h; ++r)
-                    req.hidden(r, 0) = x(r, base + columns[w] - 1);
+                    req.hidden(r, 0) = x(r, base + w.columns - 1);
                 req.promptEmbeds = MatrixD();
             }
         } else {
             for (std::size_t r = 0; r < h; ++r)
                 req.hidden(r, 0) = x(r, base);
             req.stats.tokensDecoded += 1;
-            req.lifeTokens += 1;
             if (req.stats.tokensDecoded == 1)
                 req.stats.ttftSeconds = t1 - req.submitTimeS;
-            if (req.options.maxTokens > 0 &&
-                req.lifeTokens >= req.options.maxTokens) {
-                req.state = RequestState::Finished;
-                retireSequence(req, /*retain=*/true);
-                retired.push_back(liveIds[w]);
-            }
         }
-        base += columns[w];
+        base += w.columns;
     }
     FIGLUT_ASSERT(countersEqual(reassembled, stats.counters),
                   "token-weighted counter shares did not reassemble to ",
                   "the fused-step total");
-    for (const RequestId id : retired)
-        removeFromSchedule(id);
-    stats.retired = retired.size();
-    // Everything still queued sat out this step's decode; count that
-    // before refilling slots freed by retirement (refilling now keeps
-    // the batch full between steps and drains FIFO traffic as early
-    // as possible).
-    for (const RequestId id : queue_)
-        requests_.at(id).stats.queuedSteps += 1;
-    stats.admitted += admitFromQueue(t0);
-    stats.queueDepth = queue_.size();
-    stats.kvBlocksInUse = arena_.blocksInUse();
-    stats.kvBytesInUse = arena_.bytesInUse();
-    ++stepsExecuted_;
+    // Everything still queued sat out this step's work; count that
+    // before completion refills the slots that retirement frees.
+    for (const Scheduler::Handle q : scheduler_.queue())
+        requests_[q].stats.queuedSteps += 1;
+    stats.admitted += scheduler_.completeStep(
+        plan, t0, [this, &stats](Scheduler::Handle done) {
+            retainKv(requests_[done], done);
+            ++stats.retired;
+        });
+    stats.queueDepth = scheduler_.queuedCount();
+    stats.kvBlocksInUse = arena.blocksInUse();
+    stats.kvBytesInUse = arena.bytesInUse();
     return stats;
 }
 
 Result<RequestSnapshot>
 Engine::poll(RequestId id) const
 {
-    const Request *req = find(id);
-    if (req == nullptr)
+    if (!known(id))
         return Status::notFound("unknown request id ", id);
+    const Request &req = requests_[id - 1];
     RequestSnapshot snap;
     snap.id = id;
-    snap.state = req->state;
-    snap.hidden = req->hidden;
-    snap.kvLength = requestStateTerminal(req->state)
-                        ? req->retainedKv.length()
-                        : contextTokens(*req);
-    snap.stats = req->stats;
-    snap.terminal = req->terminal;
+    snap.state = scheduler_.state(id - 1);
+    snap.hidden = req.hidden;
+    snap.kvLength = requestStateTerminal(snap.state)
+                        ? req.retainedKv.length()
+                        : scheduler_.heldTokens(id - 1);
+    snap.stats = req.stats;
+    snap.terminal = req.terminal;
     return snap;
 }
 
 Status
 Engine::cancel(RequestId id)
 {
-    Request *req = find(id);
-    if (req == nullptr)
-        return Status::notFound("unknown request id ", id);
-    if (requestStateTerminal(req->state))
-        return Status::failedPrecondition(
-            "request ", id, " already retired (",
-            requestStateName(req->state), ")");
-    removeFromSchedule(id);
-    retireSequence(*req, /*retain=*/true);
-    req->state = RequestState::Cancelled;
-    req->terminal = Status::cancelled("request ", id,
-                                      " cancelled by the client");
+    if (Status s = checkLive(id); !s.ok())
+        return s;
+    Request &req = requests_[id - 1];
+    retainKv(req, id - 1);
+    scheduler_.cancel(id - 1);
+    req.terminal = Status::cancelled("request ", id,
+                                     " cancelled by the client");
     return Status::okStatus();
 }
 
 Status
 Engine::resetKv(RequestId id)
 {
-    Request *req = find(id);
-    if (req == nullptr)
-        return Status::notFound("unknown request id ", id);
-    if (requestStateTerminal(req->state))
-        return Status::failedPrecondition(
-            "request ", id, " already retired (",
-            requestStateName(req->state), ")");
-    if (req->seq != KvArena::kInvalidSeq)
-        arena_.resetSequence(req->seq);
+    if (Status s = checkLive(id); !s.ok())
+        return s;
     // The prompt is gone for good, like the old contiguous clear():
     // a later life's prefill must not resurrect it (and a half-done
     // prefill stops here — the request decodes from its current
     // hidden state with an empty context).
-    req->promptDropped = true;
-    req->prefillDone = 0;
-    req->promptEmbeds = MatrixD();
-    req->lifeTokens = 0;
+    scheduler_.resetKv(id - 1);
+    requests_[id - 1].promptEmbeds = MatrixD();
     return Status::okStatus();
 }
 
 Result<KvCache>
 Engine::kvHistory(RequestId id) const
 {
-    const Request *req = find(id);
-    if (req == nullptr)
+    if (!known(id))
         return Status::notFound("unknown request id ", id);
-    if (req->seq != KvArena::kInvalidSeq)
-        return arena_.materialize(req->seq);
-    return req->retainedKv;
-}
-
-void
-Engine::removeFromSchedule(RequestId id)
-{
-    active_.erase(std::remove(active_.begin(), active_.end(), id),
-                  active_.end());
-    const auto it = std::find(queue_.begin(), queue_.end(), id);
-    if (it != queue_.end())
-        queue_.erase(it);
+    const KvArena::SeqId seq = scheduler_.sequence(id - 1);
+    if (seq != KvArena::kInvalidSeq)
+        return scheduler_.arena().materialize(seq);
+    return requests_[id - 1].retainedKv;
 }
 
 std::vector<KernelTask>
 Engine::workloadTasks() const
 {
-    // step() admits from the queue before decoding, so the scored
-    // batch is the *prospective* one: live requests plus the queued
-    // requests the next step will admit into free slots.
-    std::vector<const Request *> next;
-    next.reserve(options_.maxBatch);
-    for (const RequestId id : active_)
-        next.push_back(find(id));
-    for (const RequestId id : queue_) {
-        if (next.size() >= options_.maxBatch)
-            break;
-        next.push_back(find(id));
-    }
-    if (next.empty())
+    // step() admits from the queue before working, so the scored batch
+    // is the *prospective* one: live requests plus the queued requests
+    // the next step will admit into free slots.
+    const std::vector<std::size_t> contextLens =
+        scheduler_.prospectiveColumnContexts();
+    if (contextLens.empty())
         return {};
-    // Mirror step()'s work assignment: each request contributes its
-    // prefill chunk (out of the shared per-step budget) or one decode
-    // column, and the fused GEMM batch is the total column count.
-    std::vector<std::size_t> remaining;
-    remaining.reserve(next.size());
-    for (const Request *req : next)
-        remaining.push_back(remainingPrompt(*req));
-    const std::vector<std::size_t> work =
-        planPrefillChunks(remaining, options_.prefillChunkTokens);
-    // The next step appends before attending, so a column at sequence
-    // position p has the analytic (causal) context length p + 1.
-    std::vector<std::size_t> contextLens;
-    std::size_t W = 0;
-    for (std::size_t i = 0; i < next.size(); ++i) {
-        const std::size_t heldTokens = contextTokens(*next[i]);
-        for (std::size_t j = 0; j < work[i]; ++j)
-            contextLens.push_back(heldTokens + j + 1);
-        W += work[i];
-    }
     WorkloadOptions opts;
-    opts.batch = W;
+    opts.batch = contextLens.size();
     opts.weightBits = options_.model.weightBits;
     opts.includeVector = options_.includeVector;
     opts.groupSize = options_.model.groupSize;

@@ -14,33 +14,29 @@
  *         engine.value()->step();   // one fused decode step, all requests
  *     auto done = engine.value()->poll(id.value());
  *
- * step() gathers every working request's columns into a single
- * hidden x batchWidth matrix — a request still prefilling contributes
- * its next chunk of prompt embedding columns (bounded per step by
- * prefillChunkTokens across the batch), a decoding request its one
- * hidden column — so each layer's weight GEMM hits the Simd LUT
- * kernel exactly once per step: all requests share the model's
- * pre-packed keys and the engine's one ExecutionContext (the paper's
- * repeated-inference amortization, applied across clients). Attention
- * is ragged and causal: every column attends over its own sequence of
- * the engine's paged KV arena up to and including itself, so a
- * request's prompt is *computed* — real K/V written by real QKV
- * projections, real TTFT cost — before its first token decodes.
- * Requests admit up to maxBatch; excess submits wait in a FIFO queue
- * (up to maxQueue) and join as slots retire — continuous batching,
- * not lock-step epochs.
+ * An Engine is a serve::Scheduler plus numerics. The scheduler
+ * (serve/scheduler.h) owns the queue, the batch, every lifecycle
+ * transition, and the paged KV arena (runtime/kv_arena.h): each step
+ * it sweeps deadlines, admits FIFO up to maxBatch (excess submits wait
+ * up to maxQueue — continuous batching, not lock-step epochs), assigns
+ * prefill chunks, and reserves KV, resolving shortfalls through the
+ * degradation policy (shed-newest drops the youngest traffic,
+ * evict-longest-idle releases a victim's KV and re-queues it for a
+ * from-scratch restart). sim::replayTrace() runs the same scheduler
+ * on a virtual clock.
  *
- * The engine is memory-governed and failure-aware: all KV bytes live
- * in one paged arena (runtime/kv_arena.h) under an optional byte
- * budget, every fused step starts with a deadline sweep and a KV
- * reservation pass, and shortfalls resolve through a degradation
- * policy (serve/degradation.h) — shed-newest drops the youngest
- * traffic terminally, evict-longest-idle releases a victim's KV and
- * re-queues it as Preempted for a from-scratch restart. A restarted
+ * The engine executes the plan: it gathers every working request's
+ * columns into one hidden x batchWidth matrix — a prefill chunk of
+ * prompt embeddings, or one decode column — so each layer's weight
+ * GEMM hits the Simd LUT kernel exactly once per step over the
+ * model's pre-packed keys and the engine's one ExecutionContext (the
+ * paper's repeated-inference amortization, applied across clients).
+ * Attention is ragged and causal over each request's arena sequence,
+ * so a prompt is *computed* — real K/V, real TTFT cost — before its
+ * first token decodes. The engine also replays seeds, keeps the
+ * counters and RequestStats, and retains finished KV. A restarted
  * request re-derives its inputs from its seed, so its surviving
- * decode output is bit-identical to an unconstrained run. An optional
- * FaultInjector adds deterministic allocation failures and deadline
- * clock skew on top.
+ * decode output is bit-identical to an unconstrained run.
  *
  * Errors on the construction/submission paths are recoverable
  * (common/status.h): create() validates the model shape and every
@@ -60,9 +56,7 @@
 #ifndef FIGLUT_SERVE_ENGINE_H
 #define FIGLUT_SERVE_ENGINE_H
 
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -73,8 +67,8 @@
 #include "runtime/kv_cache.h"
 #include "runtime/quantized_model.h"
 #include "serve/clock.h"
-#include "serve/degradation.h"
 #include "serve/request.h"
+#include "serve/scheduler.h"
 #include "sim/accelerator.h"
 
 namespace figlut {
@@ -99,7 +93,7 @@ struct EngineOptions
      * Per-step prefill token budget: how many prompt tokens one fused
      * step may fold into the GEMM batch alongside the live decode
      * columns, shared by every prefilling request in batch order
-     * (serve/degradation.h planPrefillChunks). 0 = unbounded — each
+     * (serve/scheduler.h). 0 = unbounded — each
      * request's whole remaining prompt prefills in one step. Bounding
      * it caps the fused batch width, so long prompts cannot starve
      * live decoders; chunking never changes results, only scheduling
@@ -196,7 +190,7 @@ struct StepStats
     std::vector<std::size_t> columnContexts;
     /** Requests shed terminally by the reservation pass this step. */
     std::vector<RequestId> shedIds;
-    /** Requests evicted (Preempted, re-queued) this step. */
+    /** Requests evicted (KV released, re-queued) this step. */
     std::vector<RequestId> evictedIds;
     /** Requests dropped by the deadline sweep this step. */
     std::vector<RequestId> deadlineIds;
@@ -244,20 +238,15 @@ class Engine
     Status provideInput(RequestId id, const MatrixD &hidden);
 
     /**
-     * One fused step over all live requests: sweep deadlines, admit
-     * from the queue into free slots, assign each live request its
-     * work — a prefill chunk (bounded by prefillChunkTokens across
-     * the batch) while its prompt is unfinished, one decode column
-     * after — run the KV reservation pass over the working requests
-     * (shedding or evicting through the degradation policy when the
-     * budget or an injected fault denies blocks), gather prompt/
-     * hidden columns, run every layer's GEMMs once over the whole
-     * mixed-width batch (pre-packed keys, shared context) with
-     * ragged causal paged-KV attention, append one KV entry per
-     * (column, layer), then retire requests that reached their token
-     * budget. FailedPrecondition when no request is live or queued;
-     * ok with zero prefillTokens + decodeTokens when governance
-     * dropped every working column.
+     * One fused step: plan it (Scheduler::planStep — deadline sweep,
+     * admission, chunk assignment, KV reservation with shed/evict),
+     * gather the planned prompt/hidden columns, run every layer's
+     * GEMMs once over the mixed-width batch with ragged causal
+     * paged-KV attention, scatter, then retire finished requests and
+     * refill their slots (Scheduler::completeStep).
+     * FailedPrecondition when no request is live or queued; ok with
+     * zero prefillTokens + decodeTokens when governance dropped every
+     * working column.
      */
     Result<StepStats> step();
 
@@ -287,14 +276,14 @@ class Engine
     Result<KvCache> kvHistory(RequestId id) const;
 
     /** Requests currently decoding (columns of the next fused step). */
-    std::size_t liveRequests() const { return active_.size(); }
+    std::size_t liveRequests() const { return scheduler_.activeCount(); }
     /** Requests waiting for a slot. */
-    std::size_t queuedRequests() const { return queue_.size(); }
+    std::size_t queuedRequests() const { return scheduler_.queuedCount(); }
     /** Fused steps executed so far (steps that did prefill or decode
      *  work; empty governance-only steps are not counted). */
-    std::size_t stepsExecuted() const { return stepsExecuted_; }
+    std::size_t stepsExecuted() const { return scheduler_.stepsCompleted(); }
     /** The paged KV arena backing every live request. */
-    const KvArena &arena() const { return arena_; }
+    const KvArena &arena() const { return scheduler_.arena(); }
 
     /**
      * The KernelTask list of the *next* fused step: GEMMs at the
@@ -311,31 +300,20 @@ class Engine
     WorkloadResult simulate(const HwConfig &hw) const;
 
   private:
-    /** One tracked request (see serve/request.h for the public view). */
+    /**
+     * The numerics and accounting side of one request; its scheduling
+     * record (state, lives, KV sequence) lives in the Scheduler under
+     * handle id - 1.
+     */
     struct Request
     {
         RequestOptions options;
-        RequestState state = RequestState::Queued;
         MatrixD hidden; ///< next-step input, hidden x 1
-        /** This request's arena sequence (invalid until admitted and
-         *  after any terminal transition or eviction). */
-        KvArena::SeqId seq = KvArena::kInvalidSeq;
         /** Contiguous snapshot kept at Finished/Cancelled when
          *  retainFinishedKv is on (the arena blocks are reclaimed). */
         KvCache retainedKv;
         RequestStats stats;
         double submitTimeS = 0.0; ///< clock time of submit()
-        /** Step-start time of the last step that decoded this request
-         *  (admission time until then) — the eviction idle key. */
-        double lastActivityS = 0.0;
-        /** Admission counter value of the latest (re-)admission. */
-        std::uint64_t admitSeq = 0;
-        /** Tokens decoded in the current life (reset by eviction;
-         *  drives retirement, unlike the cumulative stats count). */
-        std::size_t lifeTokens = 0;
-        /** Prompt tokens prefilled in the current life (reset by
-         *  eviction; the restart recomputes them bit-identically). */
-        std::size_t prefillDone = 0;
         /** Prompt embeddings (hidden x promptTokens), drawn from the
          *  seed at the life's first work step and released once the
          *  last chunk is computed — only requests mid-prefill hold
@@ -352,41 +330,25 @@ class Engine
         /** Step-start time of the eviction that re-queued this
          *  request (the restartSeconds base). */
         double requeuedAtS = 0.0;
-        /** resetKv() dropped the prompt for good. */
-        bool promptDropped = false;
         /** Definite terminal outcome (see RequestSnapshot::terminal). */
         Status terminal;
     };
 
     Engine(const OptConfig &model, const EngineOptions &options);
 
-    Request *find(RequestId id);
-    const Request *find(RequestId id) const;
-    /** Admit queued requests into free batch slots (FIFO), stamping
-     *  admission metadata at step-start time nowS. */
-    std::size_t admitFromQueue(double nowS);
-    /** Remove id from the active list / queue (state already set). */
-    void removeFromSchedule(RequestId id);
-    /** Drop expired requests (active first, then queued). */
-    void sweepDeadlines(double nowS, std::vector<RequestId> &expired);
-    /** Prompt tokens the request still has to prefill this life. */
-    std::size_t remainingPrompt(const Request &req) const;
-    /** Work assignment + reservation pass over the live batch: on
-     *  return active_ holds the surviving requests (stalled prefills
-     *  included) and work[i] their column counts this step (0 =
-     *  stalled). nowS is the step-start time (the restartSeconds base
-     *  stamped on evictions). */
-    void reserveStep(StepStats &stats, std::vector<std::size_t> &work,
-                     double nowS);
+    bool known(RequestId id) const
+    {
+        return id != 0 && id <= requests_.size();
+    }
+    /** NotFound for an unknown id, FailedPrecondition once retired. */
+    Status checkLive(RequestId id) const;
     /** Replay the request's seed at the first work step of a life:
      *  redraw the hidden state (a restart's from-scratch recompute)
      *  and materialize the prompt embeddings the prefill consumes. */
-    void prepareLife(Request &req);
-    /** KV entries the request holds (prefilled + decoded this life). */
-    std::size_t contextTokens(const Request &req) const;
-    /** Release the arena sequence, materializing into retainedKv
-     *  first when asked. */
-    void retireSequence(Request &req, bool retain);
+    void prepareLife(Request &req, Scheduler::Handle h);
+    /** Materialize the request's KV into retainedKv when asked — on
+     *  Finished and cancel(), before the scheduler releases it. */
+    void retainKv(Request &req, Scheduler::Handle h);
 
     QuantizedModel model_;
     EngineOptions options_;
@@ -396,16 +358,10 @@ class Engine
     const EngineClock *clock_ = nullptr;
     /** Semantic op order of one decoder layer (construction-invariant). */
     std::vector<LayerOp> layerOps_;
-    /** Paged KV slab shared by all requests. */
-    KvArena arena_;
-    std::unordered_map<RequestId, Request> requests_;
-    /** Live requests in admission order = fused batch column order. */
-    std::vector<RequestId> active_;
-    std::deque<RequestId> queue_;
-    RequestId nextId_ = 1;
-    std::size_t stepsExecuted_ = 0;
-    /** Monotone admission counter (ShedNewest recency key). */
-    std::uint64_t admitCounter_ = 0;
+    /** Queue, batch, lifecycle and the paged KV arena. */
+    Scheduler scheduler_;
+    /** Per-request numerics, indexed by id - 1. */
+    std::vector<Request> requests_;
 };
 
 } // namespace serve

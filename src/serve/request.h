@@ -11,12 +11,17 @@
  * different context lengths — and the engine can reclaim a sequence
  * whole under memory pressure.
  *
- * Lifecycle:  submit() -> Queued <-> Active -> Finished
- *                               \-> Cancelled (client, pre-Finished)
- *                               \-> Shed (memory pressure, terminal)
- *                               \-> DeadlineExceeded (terminal)
- * The Queued <-> Active back edge is Preempted: an eviction releases
- * the request's KV and re-queues it for a from-scratch restart.
+ * Lifecycle (serve/scheduler.h drives every transition):
+ *
+ *     submit() -> Queued <-> Active -> Finished
+ *                         \-> Cancelled (client, pre-Finished)
+ *                         \-> Shed (memory pressure, terminal)
+ *                         \-> DeadlineExceeded (terminal)
+ *
+ * The Active -> Queued back edge is an eviction: the request's KV is
+ * released and it re-queues for a from-scratch restart within the
+ * same step, so poll() only ever sees Queued again;
+ * RequestStats::preemptions counts the evictions.
  */
 
 #ifndef FIGLUT_SERVE_REQUEST_H
@@ -82,9 +87,6 @@ enum class RequestState
     Active,    ///< participating in fused decode steps
     Finished,  ///< reached its token budget; record kept for poll()
     Cancelled, ///< cancelled by the client; record kept for poll()
-    /** Evicted under memory pressure (EvictLongestIdle): KV released,
-     *  re-queued for a from-scratch restart. Not terminal. */
-    Preempted,
     /** Dropped under memory pressure (terminal, ResourceExhausted). */
     Shed,
     /** Dropped past its deadline (terminal, DeadlineExceeded). */

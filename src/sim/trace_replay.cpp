@@ -1,36 +1,11 @@
 #include "sim/trace_replay.h"
 
-#include <algorithm>
-#include <deque>
+#include <cmath>
 
 #include "common/logging.h"
+#include "serve/scheduler.h"
 
 namespace figlut {
-
-namespace {
-
-/** Mutable scheduling state of one request during the replay. */
-struct Slot
-{
-    /** Tokens decoded in the current life (reset by eviction). */
-    std::size_t decoded = 0;
-    /** Prompt tokens prefilled in the current life (reset by
-     *  eviction: the restarted life prefills from scratch). */
-    std::size_t prefilled = 0;
-    /** Shadow-arena sequence while live (reservation-only). */
-    KvArena::SeqId seq = KvArena::kInvalidSeq;
-    /** Step-start time of the last decoding step (admission time
-     *  until then) — the eviction idle key, as in the engine. */
-    double lastActivityS = 0.0;
-    /** Admission counter value of the latest (re-)admission. */
-    std::uint64_t admitSeq = 0;
-    /** queueS stamped (first decode reached; never re-stamped). */
-    bool everStamped = false;
-    /** Dropped terminally mid-flight (shed or deadline). */
-    bool terminal = false;
-};
-
-} // namespace
 
 ReplayResult
 replayTrace(const OptConfig &model, const HwConfig &hw,
@@ -44,13 +19,19 @@ replayTrace(const OptConfig &model, const HwConfig &hw,
                   "replayTrace needs kvBlockTokens >= 1, got ",
                   options.kvBlockTokens);
     for (std::size_t i = 0; i < trace.size(); ++i) {
+        // A NaN arrival never compares <= the virtual clock, so the
+        // replay would idle towards it forever.
+        FIGLUT_ASSERT(std::isfinite(trace[i].arrivalS),
+                      "replayTrace request ", i,
+                      " has a non-finite arrival ", trace[i].arrivalS);
         FIGLUT_ASSERT(trace[i].outputTokens >= 1,
                       "replayTrace request ", i,
                       " has outputTokens == 0; a replay needs finite ",
                       "decode budgets");
-        FIGLUT_ASSERT(trace[i].deadlineS >= 0.0,
-                      "replayTrace request ", i,
-                      " has a negative deadline ", trace[i].deadlineS);
+        const Status deadline =
+            serve::Scheduler::validateDeadline(trace[i].deadlineS);
+        FIGLUT_ASSERT(deadline.ok(), "replayTrace request ", i, ": ",
+                      deadline.message());
         FIGLUT_ASSERT(i == 0 ||
                           trace[i - 1].arrivalS <= trace[i].arrivalS,
                       "replayTrace trace must be sorted by arrival: ",
@@ -74,245 +55,103 @@ replayTrace(const OptConfig &model, const HwConfig &hw,
     workload.hasOffset = options.hasOffset;
     workload.shards = options.shards;
 
-    // The shadow arena: same geometry, budget, and injector as the
-    // engine's, but only ever reserve/release — no token is written,
-    // so no slab chunk is materialized.
-    KvArena::Options arenaOptions;
-    arenaOptions.hidden = model.hidden;
-    arenaOptions.layers = model.layers;
-    arenaOptions.blockTokens = options.kvBlockTokens;
-    arenaOptions.budgetBytes = options.kvBudgetBytes;
-    KvArena arena(arenaOptions, options.faults);
+    // The engine's scheduler, over a shadow arena: same geometry,
+    // budget, and injector, but blocks are only reserved and released
+    // — no token is written, so no slab chunk is materialized.
+    serve::SchedulerOptions sched;
+    sched.maxBatch = options.maxBatch;
+    sched.maxQueue = options.maxQueue;
+    sched.prefillChunkTokens = options.prefillChunkTokens;
+    sched.policy = options.policy;
+    sched.arena.hidden = model.hidden;
+    sched.arena.layers = model.layers;
+    sched.arena.blockTokens = options.kvBlockTokens;
+    sched.arena.budgetBytes = options.kvBudgetBytes;
+    sched.faults = options.faults;
+    serve::Scheduler scheduler(sched);
 
-    std::vector<Slot> slots(trace.size());
-    std::vector<std::size_t> active; ///< admission order = batch order
-    std::deque<std::size_t> queue;
-    std::uint64_t admitCounter = 0;
-
-    // Mirror of Engine::submit(): direct admission only when a slot is
-    // free AND nothing is already waiting (FIFO fairness), a bounded
-    // queue otherwise, load-shed beyond it.
-    const auto submit = [&](std::size_t i, double nowS) {
-        const bool direct =
-            active.size() < options.maxBatch && queue.empty();
-        if (direct) {
-            slots[i].admitSeq = ++admitCounter;
-            slots[i].lastActivityS = nowS;
-            active.push_back(i);
-        } else if (queue.size() < options.maxQueue) {
-            queue.push_back(i);
-        } else {
-            result.requests[i].shed = true;
-        }
-    };
-    // Mirror of Engine::admitFromQueue().
-    const auto admitFromQueue = [&](double nowS) {
-        while (active.size() < options.maxBatch && !queue.empty()) {
-            const std::size_t i = queue.front();
-            queue.pop_front();
-            slots[i].admitSeq = ++admitCounter;
-            slots[i].lastActivityS = nowS;
-            active.push_back(i);
-        }
-    };
-    const auto releaseSeq = [&](std::size_t i) {
-        if (slots[i].seq != KvArena::kInvalidSeq) {
-            arena.releaseSequence(slots[i].seq);
-            slots[i].seq = KvArena::kInvalidSeq;
-        }
+    std::vector<std::size_t> traceIndex; ///< scheduler handle -> trace
+    traceIndex.reserve(trace.size());
+    std::vector<char> started(trace.size(), 0);
+    const auto outcome = [&](serve::Scheduler::Handle h)
+        -> ReplayRequestResult & {
+        return result.requests[traceIndex[h]];
     };
 
     double simT = 0.0;
     std::size_t next = 0;
     while (true) {
         // Arrivals up to the current virtual time join before the next
-        // step, exactly like submits landing between two step() calls.
+        // step, exactly like submits landing between two step() calls;
+        // deadlines count from the arrival.
         while (next < trace.size() && trace[next].arrivalS <= simT) {
-            submit(next, simT);
+            serve::RequestOptions request;
+            request.maxTokens = trace[next].outputTokens;
+            request.promptTokens = trace[next].promptTokens;
+            request.deadlineS = trace[next].deadlineS;
+            const auto h =
+                scheduler.submit(request, trace[next].arrivalS, simT);
+            if (h.ok())
+                traceIndex.push_back(next);
+            else
+                result.requests[next].shed = true;
             ++next;
         }
-        if (active.empty() && queue.empty()) {
+        if (scheduler.activeCount() == 0 && scheduler.queuedCount() == 0) {
             if (next == trace.size())
                 break;
             simT = trace[next].arrivalS;
             continue;
         }
 
-        // Mirror of Engine::step(), in the same order: deadline sweep
-        // (on the skewed clock), admission, reservation pass, decode.
+        // A dropped or evicted request's recorded tokens belong to a
+        // life that did not finish.
         const double t0 = simT;
-        const double skewS =
-            options.faults != nullptr
-                ? options.faults->clockSkewS(result.steps)
-                : 0.0;
-        const double dlNowS = t0 + skewS;
-        // Active columns first, then the queue, both in order.
-        {
-            std::vector<std::size_t> sweep(active.begin(), active.end());
-            sweep.insert(sweep.end(), queue.begin(), queue.end());
-            for (const std::size_t i : sweep) {
-                if (trace[i].deadlineS <= 0.0 ||
-                    dlNowS <= trace[i].arrivalS + trace[i].deadlineS)
-                    continue;
-                releaseSeq(i);
-                slots[i].terminal = true;
-                result.requests[i].deadlineMiss = true;
-                result.requests[i].tokenTimesS.clear();
-                active.erase(std::remove(active.begin(), active.end(),
-                                         i),
-                             active.end());
-                const auto it =
-                    std::find(queue.begin(), queue.end(), i);
-                if (it != queue.end())
-                    queue.erase(it);
-            }
+        const serve::Scheduler::StepPlan &plan = scheduler.planStep(t0);
+        for (const serve::Scheduler::Handle h : plan.expired) {
+            outcome(h).deadlineMiss = true;
+            outcome(h).tokenTimesS.clear();
         }
-        admitFromQueue(t0);
-        if (active.empty())
-            continue; // empty governance step: nothing recorded
+        for (const serve::Scheduler::Handle h : plan.evicted) {
+            outcome(h).evictions += 1;
+            outcome(h).tokenTimesS.clear();
+        }
+        for (const serve::Scheduler::Handle h : plan.shed) {
+            outcome(h).shed = true;
+            outcome(h).tokenTimesS.clear();
+        }
+        if (plan.work.empty())
+            continue; // governance-only step: nothing recorded
 
-        // Work assignment, as Engine::reserveStep(): each live
-        // request's prefill chunk out of the shared per-step budget,
-        // or one decode column.
-        std::vector<std::size_t> remaining;
-        remaining.reserve(active.size());
-        for (const std::size_t i : active)
-            remaining.push_back(trace[i].promptTokens -
-                                slots[i].prefilled);
-        const std::vector<std::size_t> assigned =
-            serve::planPrefillChunks(remaining,
-                                     options.prefillChunkTokens);
-
-        // Reservation pass against the shadow arena — the exact
-        // planner the engine runs, on the same items (working
-        // requests only; a stalled prefill neither reserves nor is a
-        // victim) in the same batch order.
-        std::vector<serve::ReservationItem> items;
-        std::vector<std::size_t> itemToActive;
-        items.reserve(active.size());
-        for (std::size_t a = 0; a < active.size(); ++a) {
-            if (assigned[a] == 0)
-                continue;
-            const std::size_t i = active[a];
-            if (slots[i].seq == KvArena::kInvalidSeq)
-                slots[i].seq = arena.createSequence();
-            serve::ReservationItem item;
-            item.seq = slots[i].seq;
-            item.needTokens =
-                slots[i].prefilled + slots[i].decoded + assigned[a];
-            item.lastActivityS = slots[i].lastActivityS;
-            item.admitSeq = slots[i].admitSeq;
-            items.push_back(item);
-            itemToActive.push_back(a);
-        }
-        const serve::ReservationPlan plan =
-            serve::planStepReservations(arena, options.policy, items);
-        std::vector<char> dropped(active.size(), 0);
-        std::vector<std::size_t> evicted;
-        for (const std::size_t idx : plan.evicted) {
-            const std::size_t a = itemToActive[idx];
-            const std::size_t i = active[a];
-            slots[i].seq = KvArena::kInvalidSeq; // planner released it
-            slots[i].decoded = 0;
-            slots[i].prefilled = 0;
-            result.requests[i].evictions += 1;
-            result.requests[i].tokenTimesS.clear();
-            dropped[a] = 1;
-            evicted.push_back(i);
-        }
-        for (const std::size_t idx : plan.shed) {
-            const std::size_t a = itemToActive[idx];
-            const std::size_t i = active[a];
-            slots[i].seq = KvArena::kInvalidSeq;
-            slots[i].terminal = true;
-            result.requests[i].shed = true;
-            result.requests[i].tokenTimesS.clear();
-            dropped[a] = 1;
-        }
-        std::vector<std::size_t> keep;
-        std::vector<std::size_t> work;
-        keep.reserve(active.size());
-        for (std::size_t a = 0; a < active.size(); ++a) {
-            if (dropped[a])
-                continue;
-            keep.push_back(active[a]);
-            work.push_back(assigned[a]);
-        }
-        active = std::move(keep);
-        std::sort(evicted.begin(), evicted.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      return slots[a].admitSeq > slots[b].admitSeq;
-                  });
-        for (const std::size_t i : evicted)
-            queue.push_front(i);
-
-        // The working subset: requests with columns this step. Empty
-        // only when governance dropped every budget-holding request
-        // (stalled prefills may survive with zero columns).
-        std::vector<std::size_t> batch;
-        std::vector<std::size_t> batchWork;
-        for (std::size_t a = 0; a < active.size(); ++a) {
-            if (work[a] == 0)
-                continue;
-            batch.push_back(active[a]);
-            batchWork.push_back(work[a]);
-        }
-        if (batch.empty()) {
-            admitFromQueue(t0);
-            continue; // governance-empty step: nothing recorded
-        }
-
-        // One fused step: price the ragged mixed prefill/decode batch
-        // on the accelerator, advance virtual time, then complete each
-        // column's bookkeeping — a prompt column at sequence position
-        // p attends causally over p + 1 entries, a decode column over
-        // its full context, exactly the engine's columnContexts.
-        std::vector<std::size_t> contextLens;
-        std::size_t width = 0;
-        for (std::size_t w = 0; w < batch.size(); ++w) {
-            const std::size_t i = batch[w];
-            const std::size_t heldTokens =
-                slots[i].prefilled + slots[i].decoded;
-            for (std::size_t j = 0; j < batchWork[w]; ++j)
-                contextLens.push_back(heldTokens + j + 1);
-            width += batchWork[w];
-        }
-        workload.batch = width;
-        const std::vector<KernelTask> tasks =
-            decodeStepWorkload(model, workload, contextLens);
-        const double stepS = accelerator.runWorkload(tasks).seconds;
-
-        for (const std::size_t i : batch)
-            if (!slots[i].everStamped) {
+        // Price the ragged mixed prefill/decode batch at the columns'
+        // causal contexts — exactly the engine's columnContexts — and
+        // advance virtual time by the score.
+        workload.batch = plan.columnContexts.size();
+        const double stepS =
+            accelerator
+                .runWorkload(
+                    decodeStepWorkload(model, workload, plan.columnContexts))
+                .seconds;
+        for (const serve::Scheduler::Work &w : plan.work) {
+            const std::size_t i = traceIndex[w.handle];
+            if (!started[i]) {
                 result.requests[i].queueS = t0 - trace[i].arrivalS;
-                slots[i].everStamped = true;
-            }
-        simT += stepS;
-        for (std::size_t w = 0; w < batch.size(); ++w) {
-            const std::size_t i = batch[w];
-            slots[i].lastActivityS = t0;
-            if (slots[i].prefilled < trace[i].promptTokens) {
-                slots[i].prefilled += batchWork[w];
-                result.prefillTokens += batchWork[w];
-            } else {
-                slots[i].decoded += 1;
-                result.decodeTokens += 1;
-                result.requests[i].tokenTimesS.push_back(simT);
+                started[i] = 1;
             }
         }
-        for (const std::size_t i : batch)
-            if (slots[i].decoded >= trace[i].outputTokens)
-                releaseSeq(i);
-        active.erase(std::remove_if(active.begin(), active.end(),
-                                    [&](std::size_t i) {
-                                        return slots[i].decoded >=
-                                               trace[i].outputTokens;
-                                    }),
-                     active.end());
-        admitFromQueue(t0);
+        simT += stepS;
+        for (const serve::Scheduler::Work &w : plan.work) {
+            if (w.prefill) {
+                result.prefillTokens += w.columns;
+            } else {
+                result.decodeTokens += 1;
+                outcome(w.handle).tokenTimesS.push_back(simT);
+            }
+        }
+        scheduler.completeStep(plan, t0);
 
         result.stepSeconds.push_back(stepS);
-        result.queueDepth.push_back(queue.size());
+        result.queueDepth.push_back(scheduler.queuedCount());
         ++result.steps;
     }
     result.endS = simT;

@@ -1,46 +1,41 @@
 /**
  * @file
  * Trace replay on the simulated accelerator: the serving engine's
- * continuous-batching schedule, re-run in virtual time with every
- * fused step priced by sim::Accelerator instead of executed on the
- * host.
+ * scheduler on a virtual clock, with every fused step priced by
+ * sim::Accelerator instead of executed on the host.
  *
- * replayTrace() consumes the same arrival trace a measured
- * serving_load run drives through serve::Engine and mirrors the
- * engine's scheduling policy exactly — FIFO admission up to maxBatch,
- * a bounded wait queue with load-shed beyond maxQueue, chunked prompt
- * prefill before the first token (the shared planPrefillChunks()
- * budget, so prefill steps cost simulated time exactly as they cost
- * the engine wall time), one token per decoding request per step,
- * retirement at the output budget — but each step advances a virtual
- * clock by the Accelerator-scored duration of that step's
- * ragged-context KernelTask list (the same decodeStepWorkload()
- * mapping Engine::workloadTasks() emits). The result is per-request
+ * replayTrace() feeds the same arrival trace a measured serving_load
+ * run drives through serve::Engine into serve::Scheduler — the very
+ * state machine the engine runs (serve/scheduler.h): FIFO admission up
+ * to maxBatch, a bounded wait queue with load-shed beyond maxQueue,
+ * chunked prompt prefill, the deadline sweep, the KV reservation pass
+ * with its shed/evict policy, and retirement at the output budget.
+ * Where the engine executes a planned step on the host, the replay
+ * prices the step's ragged-context KernelTask list (the same
+ * decodeStepWorkload() mapping Engine::workloadTasks() emits) and
+ * advances virtual time by the score. The result is per-request
  * latency in *simulated* seconds, directly comparable against the
- * measured run: same trace, same schedule shape, modeled hardware
- * instead of the host.
+ * measured run: same trace, same schedule, modeled hardware instead
+ * of the host.
  *
- * The memory governance is mirrored too: a bounded kvBudgetBytes runs
- * the replay against a shadow KvArena (same block geometry, same
- * FaultInjector) through the identical planStepReservations() pass
- * the engine runs, so shed/evict/deadline outcomes reproduce the
- * engine's schedule — the shadow arena only *reserves* blocks, it
- * never writes a KV byte, so a replay costs block-table bookkeeping,
- * not slab memory. This is a deliberate inversion of the layer map
- * (sim consuming runtime/kv_arena.h and serve/degradation.h, like
- * runtime/session consuming serve/engine.h): the replay is a model
- * *of* the serving engine and shares its policy code by construction
- * rather than by transcription. One divergence to know about:
- * deadlines are measured from arrivalS here but from the actual
- * submit time in the engine — identical whenever arrivals are
- * released on time (the pinned case), off by the submit lag
- * otherwise.
+ * The scheduler's arena here is a shadow: same block geometry, byte
+ * budget, and FaultInjector as the engine's, but it only *reserves*
+ * blocks and never writes a KV byte, so a replay costs block-table
+ * bookkeeping, not slab memory. (This is a deliberate inversion of
+ * the layer map — sim consuming serve/scheduler.h, like
+ * runtime/session consuming serve/engine.h: the replay is a model *of*
+ * the serving engine and shares its policy code by construction.)
  *
- * The schedule equivalence is pinned by tests/bench_load: a
- * serve::Engine driven on a VirtualClock advanced by the identical
- * per-step scores produces bit-identical shed sets, token completion
- * times, and queue depths — with and without a KV budget, eviction,
- * deadlines, and injected allocation faults.
+ * One difference is by design: deadlines and queueS are measured from
+ * arrivalS here but from the actual submit time in the engine —
+ * identical whenever arrivals are released on time (the pinned case),
+ * off by the submit lag otherwise.
+ *
+ * tests/bench_load pins the two: a serve::Engine driven on a
+ * VirtualClock advanced by the identical per-step scores produces
+ * bit-identical shed sets, token completion times, and queue depths —
+ * with and without a KV budget, eviction, deadlines, and injected
+ * allocation faults.
  */
 
 #ifndef FIGLUT_SIM_TRACE_REPLAY_H
@@ -51,7 +46,7 @@
 
 #include "model/workload.h"
 #include "runtime/kv_arena.h"
-#include "serve/degradation.h"
+#include "serve/scheduler.h"
 #include "sim/accelerator.h"
 
 namespace figlut {
@@ -64,11 +59,11 @@ struct ReplayRequest
                                    ///< the first decoded token)
     std::size_t outputTokens = 1;  ///< decode budget (must be >= 1)
     /** Seconds after arrival by which the request must finish; 0 =
-     *  no deadline (mirrors RequestOptions::deadlineS). */
+     *  no deadline (as RequestOptions::deadlineS). */
     double deadlineS = 0.0;
 };
 
-/** Scheduling and workload-pricing knobs, mirroring EngineOptions. */
+/** Scheduling and workload-pricing knobs, named as in EngineOptions. */
 struct ReplayOptions
 {
     std::size_t maxBatch = 8; ///< live requests per fused step
@@ -145,10 +140,12 @@ struct ReplayResult
 };
 
 /**
- * Replay an arrival trace (sorted by arrivalS, every outputTokens
- * >= 1) against the accelerator model `hw`, mirroring serve::Engine's
- * continuous-batching schedule and memory governance. Deterministic:
- * a pure function of its arguments (FaultInjector purity included).
+ * Replay an arrival trace against the accelerator model `hw` under
+ * serve::Engine's scheduler. The trace must be sorted by a finite
+ * arrivalS, with every outputTokens >= 1 and every deadlineS one
+ * Engine::submit() accepts (finite, >= 0); a malformed trace panics.
+ * Deterministic: a pure function of its arguments (FaultInjector
+ * purity included).
  */
 ReplayResult replayTrace(const OptConfig &model, const HwConfig &hw,
                          const ReplayOptions &options,

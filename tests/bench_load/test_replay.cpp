@@ -1,12 +1,14 @@
 /**
  * @file
- * Trace-replay tests: determinism, shed/queue behavior, and the pin
- * that sim::replayTrace() mirrors serve::Engine's continuous-batching
- * schedule exactly — an Engine driven on a VirtualClock advanced by
- * the identical per-step Accelerator scores produces bit-identical
- * shed sets, token completion times, and queue depths.
+ * Trace-replay tests: determinism, shed/queue behavior, malformed-trace
+ * rejection, and the pin that sim::replayTrace() and serve::Engine run
+ * one schedule — an Engine driven on a VirtualClock advanced by the
+ * identical per-step Accelerator scores produces bit-identical shed
+ * sets, token completion times, and queue depths.
  */
 
+#include <limits>
+#include <string>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
@@ -129,25 +131,44 @@ TEST(TraceReplayTest, IdleGapJumpsToNextArrival)
     EXPECT_DOUBLE_EQ(result.requests[1].queueS, 0.0);
 }
 
+/** A trace with a NaN or otherwise malformed request must panic, not
+ *  hang or replay garbage. */
+TEST(TraceReplayTest, RejectsMalformedTraces)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<std::vector<ReplayRequest>> malformed{
+        {{nan, 2, 2, 0.0}},                  // NaN arrival (used to hang)
+        {{0.0, 2, 2, 0.0}, {inf, 2, 2, 0.0}}, // non-finite arrival
+        {{1.0, 2, 2, 0.0}, {0.5, 2, 2, 0.0}}, // unsorted
+        {{0.0, 2, 0, 0.0}},                  // outputTokens == 0
+        {{0.0, 2, 2, -1.0}},                 // negative deadline
+        {{0.0, 2, 2, nan}},                  // NaN deadline
+        {{0.0, 2, 2, inf}},                  // infinite deadline
+        {{0.0, 2, 2, -inf}},
+    };
+    for (std::size_t c = 0; c < malformed.size(); ++c)
+        EXPECT_THROW(replayTrace(tinyModel(), testHw(), ReplayOptions(),
+                                 malformed[c]),
+                     PanicError)
+            << "case " << c;
+}
+
 /**
  * The load-bearing pin: a real serve::Engine on a VirtualClock,
- * stepped through the same trace and advanced by the identical
- * accelerator score per step, reproduces replayTrace() bit for bit —
- * shed set, queue-depth series, queue waits, and every token
- * completion time. Parameterized by the prefill chunk budget so the
- * chunked schedule (prompts split across steps, decode columns
- * interleaved) is pinned with the same rigor as the whole-prompt one.
+ * stepped through the same trace under the same options and advanced
+ * by the identical accelerator score per step, reproduces
+ * replayTrace() bit for bit — shed, evicted and expired sets, the
+ * queue-depth series, queue waits, and every token completion time.
+ * Deadline-bearing traces must keep arrivals on step boundaries (the
+ * engine counts deadlines from submit time, the replay from arrival).
  */
 void
-expectEngineMatchesReplay(std::size_t prefillChunkTokens)
+expectEngineMatchesReplay(const ReplayOptions &options,
+                          const std::vector<ReplayRequest> &trace)
 {
     const OptConfig model = tinyModel();
     const HwConfig hw = testHw();
-    ReplayOptions options;
-    options.maxBatch = 2;
-    options.maxQueue = 2;
-    options.prefillChunkTokens = prefillChunkTokens;
-    const auto trace = contendedTrace();
     const auto replay = replayTrace(model, hw, options, trace);
 
     serve::VirtualClock clock;
@@ -161,151 +182,18 @@ expectEngineMatchesReplay(std::size_t prefillChunkTokens)
     engineOptions.model.useOffset = options.hasOffset;
     engineOptions.model.bcqIterations = 1;
     engineOptions.includeVector = options.includeVector;
-    auto created = serve::Engine::create(model, engineOptions);
-    ASSERT_TRUE(created.ok()) << created.status().toString();
-    serve::Engine &engine = *created.value();
-
-    const Accelerator accelerator(hw);
-    WorkloadOptions workload;
-    workload.weightBits = options.weightBits;
-    workload.includeVector = options.includeVector;
-    workload.groupSize = options.groupSize;
-    workload.hasOffset = options.hasOffset;
-
-    std::vector<bool> shed(trace.size(), false);
-    std::vector<std::vector<double>> tokenTimes(trace.size());
-    std::vector<std::size_t> queueDepth;
-    std::unordered_map<serve::RequestId, std::size_t> indexOf;
-
-    std::size_t next = 0;
-    while (true) {
-        while (next < trace.size() &&
-               trace[next].arrivalS <= clock.now()) {
-            serve::RequestOptions request;
-            request.maxTokens = trace[next].outputTokens;
-            request.promptTokens = trace[next].promptTokens;
-            request.seed = 100 + next;
-            const auto id = engine.submit(request);
-            if (id.ok())
-                indexOf.emplace(id.value(), next);
-            else
-                shed[next] = true;
-            ++next;
-        }
-        if (engine.liveRequests() == 0 &&
-            engine.queuedRequests() == 0) {
-            if (next == trace.size())
-                break;
-            clock.set(trace[next].arrivalS);
-            continue;
-        }
-
-        const auto stats = engine.step();
-        ASSERT_TRUE(stats.ok()) << stats.status().toString();
-        const serve::StepStats &step = stats.value();
-        // Price this exact fused batch the way the replay does: the
-        // executed step's own per-column causal context lengths
-        // (prefill chunks included), in gather order.
-        ASSERT_FALSE(step.columnContexts.empty());
-        workload.batch = step.columnContexts.size();
-        const double stepS =
-            accelerator
-                .runWorkload(decodeStepWorkload(model, workload,
-                                                step.columnContexts))
-                .seconds;
-        clock.advance(stepS);
-        for (const serve::RequestId id : step.decodedIds)
-            tokenTimes[indexOf.at(id)].push_back(clock.now());
-        queueDepth.push_back(step.queueDepth);
-    }
-
-    // Bit-identical schedule: shed set, queue depths, token times.
-    ASSERT_EQ(queueDepth.size(), replay.steps);
-    EXPECT_EQ(queueDepth, replay.queueDepth);
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(shed[i], replay.requests[i].shed) << i;
-        EXPECT_EQ(tokenTimes[i], replay.requests[i].tokenTimesS) << i;
-    }
-    // The engine's own queue-wait hook agrees with the replay.
-    for (const auto &[id, i] : indexOf) {
-        const auto snapshot = engine.poll(id);
-        ASSERT_TRUE(snapshot.ok()) << i;
-        EXPECT_DOUBLE_EQ(snapshot.value().stats.queueSeconds,
-                         replay.requests[i].queueS)
-            << i;
-    }
-}
-
-TEST(TraceReplayTest, MatchesEngineOnVirtualClock)
-{
-    expectEngineMatchesReplay(/*prefillChunkTokens=*/0);
-}
-
-TEST(TraceReplayTest, MatchesEngineWithChunkedPrefill)
-{
-    // Chunk 2 splits every contendedTrace() prompt (3..8 tokens)
-    // across several steps and stalls late prefills behind the budget.
-    expectEngineMatchesReplay(/*prefillChunkTokens=*/2);
-}
-
-/**
- * The governed twin of the pin above: with a KV byte budget, the
- * EvictLongestIdle policy, injected allocation faults AND clock skew,
- * and a per-request deadline in play, the replay still reproduces the
- * engine's schedule bit for bit — including which requests are shed,
- * evicted, or expired, and when every surviving token lands.
- */
-TEST(TraceReplayTest, GovernedReplayMatchesEngineOnVirtualClock)
-{
-    const OptConfig model = tinyModel();
-    const HwConfig hw = testHw();
-    // Simultaneous arrivals, so the engine's deadline base (submit
-    // time) and the replay's (arrival time) coincide exactly.
-    const std::vector<ReplayRequest> trace{
-        {0.0, 4, 3, 0.0}, {0.0, 6, 2, 0.0}, {0.0, 5, 2, 0.0},
-        {0.0, 3, 2, 1e-6}, {0.0, 4, 2, 0.0},
-    };
-    CountingFaultInjector faults(/*failEvery=*/7, /*skewS=*/0.05);
-
-    ReplayOptions options;
-    options.maxBatch = 2;
-    options.maxQueue = 3;
-    options.kvBlockTokens = 2;
-    // Six blocks cannot hold two worst-case contexts at once, so the
-    // reservation pass must evict or shed mid-trace.
-    options.kvBudgetBytes = 6 * 2 * 2 * model.hidden * sizeof(double);
-    options.policy = serve::DegradationPolicy::EvictLongestIdle;
-    options.faults = &faults;
-    const auto replay = replayTrace(model, hw, options, trace);
-
-    // The scenario must actually exercise the governance paths, or
-    // the pin below is vacuous.
-    std::size_t evictions = 0, sheds = 0, misses = 0;
-    for (const auto &r : replay.requests) {
-        evictions += r.evictions;
-        sheds += r.shed ? 1 : 0;
-        misses += r.deadlineMiss ? 1 : 0;
-    }
-    EXPECT_GT(evictions + sheds, 0u);
-    EXPECT_GT(misses, 0u);
-
-    serve::VirtualClock clock;
-    serve::EngineOptions engineOptions;
-    engineOptions.clock = &clock;
-    engineOptions.maxBatch = options.maxBatch;
-    engineOptions.maxQueue = options.maxQueue;
-    engineOptions.model.weightBits = options.weightBits;
-    engineOptions.model.groupSize = options.groupSize;
-    engineOptions.model.useOffset = options.hasOffset;
-    engineOptions.model.bcqIterations = 1;
-    engineOptions.includeVector = options.includeVector;
     engineOptions.kvBudgetBytes = options.kvBudgetBytes;
     engineOptions.kvBlockTokens = options.kvBlockTokens;
     engineOptions.policy = options.policy;
-    engineOptions.faults = &faults;
+    engineOptions.faults = options.faults;
     auto created = serve::Engine::create(model, engineOptions);
     ASSERT_TRUE(created.ok()) << created.status().toString();
     serve::Engine &engine = *created.value();
+    // Without a budget, faults or deadlines nothing can drop a working
+    // column, so every step must do work.
+    bool governed = options.kvBudgetBytes > 0 || options.faults != nullptr;
+    for (const ReplayRequest &r : trace)
+        governed = governed || r.deadlineS > 0.0;
 
     const Accelerator accelerator(hw);
     WorkloadOptions workload;
@@ -349,7 +237,7 @@ TEST(TraceReplayTest, GovernedReplayMatchesEngineOnVirtualClock)
         const auto stats = engine.step();
         ASSERT_TRUE(stats.ok()) << stats.status().toString();
         const serve::StepStats &step = stats.value();
-        // Same bookkeeping as the replay and the load driver: an
+        // Same bookkeeping as the replay and the load harness: an
         // eviction discards the life's recorded tokens, shed and
         // deadline drops are terminal.
         for (const serve::RequestId id : step.evictedIds) {
@@ -368,10 +256,16 @@ TEST(TraceReplayTest, GovernedReplayMatchesEngineOnVirtualClock)
             deadlineMiss[i] = true;
         }
         // Governance-only steps do no work, advance no time, and are
-        // not recorded — exactly like the replay's `continue`. A
-        // pure-prefill step IS work and is priced like any other.
+        // not recorded — exactly like the replay. A pure-prefill step
+        // IS work and is priced like any other.
+        if (!governed) {
+            ASSERT_FALSE(step.columnContexts.empty());
+        }
         if (step.prefillTokens + step.decodeTokens == 0)
             continue;
+        // Price this exact fused batch the way the replay does: the
+        // executed step's own per-column causal context lengths
+        // (prefill chunks included), in gather order.
         workload.batch = step.columnContexts.size();
         const double stepS =
             accelerator
@@ -384,6 +278,7 @@ TEST(TraceReplayTest, GovernedReplayMatchesEngineOnVirtualClock)
         queueDepth.push_back(step.queueDepth);
     }
 
+    // Bit-identical schedule: drop sets, queue depths, token times.
     ASSERT_EQ(queueDepth.size(), replay.steps);
     EXPECT_EQ(queueDepth, replay.queueDepth);
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -393,6 +288,7 @@ TEST(TraceReplayTest, GovernedReplayMatchesEngineOnVirtualClock)
         EXPECT_EQ(evicted[i], replay.requests[i].evictions) << i;
         EXPECT_EQ(tokenTimes[i], replay.requests[i].tokenTimesS) << i;
     }
+    // The engine's own queue-wait hook agrees with the replay.
     for (const auto &[id, i] : indexOf) {
         const auto snapshot = engine.poll(id);
         ASSERT_TRUE(snapshot.ok()) << i;
@@ -400,6 +296,141 @@ TEST(TraceReplayTest, GovernedReplayMatchesEngineOnVirtualClock)
                          replay.requests[i].queueS)
             << i;
     }
+}
+
+ReplayOptions
+contendedOptions(std::size_t prefillChunkTokens)
+{
+    ReplayOptions options;
+    options.maxBatch = 2;
+    options.maxQueue = 2;
+    options.prefillChunkTokens = prefillChunkTokens;
+    return options;
+}
+
+TEST(TraceReplayTest, MatchesEngineOnVirtualClock)
+{
+    expectEngineMatchesReplay(contendedOptions(/*prefillChunkTokens=*/0),
+                              contendedTrace());
+}
+
+TEST(TraceReplayTest, MatchesEngineWithChunkedPrefill)
+{
+    // Chunk 2 splits every contendedTrace() prompt (3..8 tokens)
+    // across several steps and stalls late prefills behind the budget.
+    expectEngineMatchesReplay(contendedOptions(/*prefillChunkTokens=*/2),
+                              contendedTrace());
+}
+
+/**
+ * The governed twin of the pins above: with a KV byte budget, the
+ * EvictLongestIdle policy, injected allocation faults AND clock skew,
+ * and a per-request deadline in play, the replay still reproduces the
+ * engine's schedule bit for bit — including which requests are shed,
+ * evicted, or expired, and when every surviving token lands.
+ */
+TEST(TraceReplayTest, GovernedReplayMatchesEngineOnVirtualClock)
+{
+    const OptConfig model = tinyModel();
+    // Simultaneous arrivals, so the engine's deadline base (submit
+    // time) and the replay's (arrival time) coincide exactly.
+    const std::vector<ReplayRequest> trace{
+        {0.0, 4, 3, 0.0}, {0.0, 6, 2, 0.0}, {0.0, 5, 2, 0.0},
+        {0.0, 3, 2, 1e-6}, {0.0, 4, 2, 0.0},
+    };
+    CountingFaultInjector faults(/*failEvery=*/7, /*skewS=*/0.05);
+
+    ReplayOptions options;
+    options.maxBatch = 2;
+    options.maxQueue = 3;
+    options.kvBlockTokens = 2;
+    // Six blocks cannot hold two worst-case contexts at once, so the
+    // reservation pass must evict or shed mid-trace.
+    options.kvBudgetBytes = 6 * 2 * 2 * model.hidden * sizeof(double);
+    options.policy = serve::DegradationPolicy::EvictLongestIdle;
+    options.faults = &faults;
+
+    // The scenario must actually exercise the governance paths, or
+    // the pin is vacuous.
+    const auto replay = replayTrace(model, testHw(), options, trace);
+    std::size_t evictions = 0, sheds = 0, misses = 0;
+    for (const auto &r : replay.requests) {
+        evictions += r.evictions;
+        sheds += r.shed ? 1 : 0;
+        misses += r.deadlineMiss ? 1 : 0;
+    }
+    EXPECT_GT(evictions + sheds, 0u);
+    EXPECT_GT(misses, 0u);
+
+    expectEngineMatchesReplay(options, trace);
+}
+
+/**
+ * The pin over a seeded sweep of scheduler settings: batch and queue
+ * bounds, prefill chunk, KV budget and block size, policy, faults and
+ * deadlines. Requests arrive in simultaneous groups a full second
+ * apart, so every arrival lands on an idle step boundary.
+ */
+TEST(TraceReplayTest, MatchesEngineAcrossSeededConfigurations)
+{
+    const OptConfig model = tinyModel();
+    std::size_t evictions = 0, sheds = 0, misses = 0;
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        ReplayOptions options;
+        options.maxBatch = static_cast<std::size_t>(rng.uniformInt(1, 4));
+        options.maxQueue = static_cast<std::size_t>(rng.uniformInt(0, 4));
+        const std::size_t chunks[] = {0, 1, 2, 5};
+        options.prefillChunkTokens = chunks[rng.uniformInt(0, 3)];
+        options.kvBlockTokens =
+            static_cast<std::size_t>(rng.uniformInt(1, 4));
+        if (rng.flip())
+            options.kvBudgetBytes =
+                static_cast<std::size_t>(rng.uniformInt(1, 8)) *
+                model.layers * options.kvBlockTokens * 2 * model.hidden *
+                sizeof(double);
+        options.policy = rng.flip()
+                             ? serve::DegradationPolicy::EvictLongestIdle
+                             : serve::DegradationPolicy::ShedNewest;
+        CountingFaultInjector faults(
+            rng.flip() ? static_cast<std::uint64_t>(rng.uniformInt(3, 9))
+                       : 0,
+            rng.flip() ? 1e-5 : 0.0);
+        if (rng.flip())
+            options.faults = &faults;
+
+        std::vector<ReplayRequest> trace;
+        const int groups = static_cast<int>(rng.uniformInt(1, 3));
+        for (int g = 0; g < groups; ++g) {
+            const int n = static_cast<int>(rng.uniformInt(1, 5));
+            for (int k = 0; k < n; ++k) {
+                ReplayRequest r;
+                r.arrivalS = 1.0 * g;
+                r.promptTokens =
+                    static_cast<std::size_t>(rng.uniformInt(0, 8));
+                r.outputTokens =
+                    static_cast<std::size_t>(rng.uniformInt(1, 4));
+                if (rng.uniformInt(0, 3) == 0)
+                    r.deadlineS = rng.uniform(1e-6, 3e-5);
+                trace.push_back(r);
+            }
+        }
+        expectEngineMatchesReplay(options, trace);
+        if (::testing::Test::HasFatalFailure())
+            return;
+
+        const auto replay = replayTrace(model, testHw(), options, trace);
+        for (const auto &r : replay.requests) {
+            evictions += r.evictions;
+            sheds += r.shed ? 1 : 0;
+            misses += r.deadlineMiss ? 1 : 0;
+        }
+    }
+    // The sweep must reach every governance path.
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(sheds, 0u);
+    EXPECT_GT(misses, 0u);
 }
 
 TEST(VirtualClockTest, AdvanceAndSetAreMonotone)
