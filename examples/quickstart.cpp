@@ -1,9 +1,9 @@
 /**
  * @file
- * Quickstart: the three-line path from an OPT-style architecture to a
- * real numeric decode step — build a Session (quantize + pack once),
- * feed it hidden states, and score the identical layer graph on the
- * modeled accelerator.
+ * Quickstart: the short path from an OPT-style architecture to real
+ * numeric decode steps — build a serve::Engine (quantize + pack
+ * once), submit a few requests, step them, and score the identical
+ * layer graph on the modeled accelerator.
  *
  * Build & run:  ./build/examples/quickstart
  */
@@ -21,7 +21,7 @@ main()
 
     // 1. A small OPT-style decoder, quantized to 3-bit BCQ with an
     //    offset term and LUT-key-packed — all one-time work done by
-    //    the Session constructor.
+    //    Engine::create.
     OptConfig tiny;
     tiny.name = "OPT-tiny";
     tiny.hidden = 128;
@@ -29,46 +29,73 @@ main()
     tiny.heads = 4;
     tiny.ffn = 512;
 
-    SessionOptions opts;
-    opts.batch = 4;
-    opts.quant.weightBits = 3;
-    opts.quant.useOffset = true;
-    Session session(tiny, opts);
+    constexpr std::size_t kRequests = 4;
+    constexpr std::size_t kSteps = 3;
+    serve::EngineOptions opts;
+    opts.maxBatch = kRequests;
+    opts.model.weightBits = 3;
+    opts.model.useOffset = true;
+    auto created = serve::Engine::create(tiny, opts);
+    if (!created.ok()) {
+        std::cerr << created.status().toString() << "\n";
+        return 1;
+    }
+    serve::Engine &engine = *created.value();
 
-    const double fp16Bytes = session.model().config().layers *
+    const double fp16Bytes = engine.model().config().layers *
                              (4.0 * tiny.hidden * tiny.hidden +
                               2.0 * tiny.hidden * tiny.ffn) *
                              2.0;
     std::cout << "built " << tiny.name << " (" << tiny.layers
               << " layers, hidden " << tiny.hidden << "): "
-              << session.model().storageBytes() << " bytes quantized vs "
+              << engine.model().storageBytes() << " bytes quantized vs "
               << static_cast<std::size_t>(fp16Bytes) << " bytes FP16 ("
               << TextTable::ratio(fp16Bytes /
-                                  session.model().storageBytes())
+                                  engine.model().storageBytes())
               << " compression)\n\n";
 
-    // 2. Run decode steps for real: GEMMs through the packed LUT
-    //    kernel on the session's persistent ExecutionContext, vector
-    //    ops as reference kernels, KV cache growing per step.
-    Rng rng(Rng::kDefaultSeed);
-    MatrixD hidden = session.makeInput(rng);
-    for (int step = 0; step < 3; ++step) {
-        const auto r = session.runDecodeStep(hidden);
-        hidden = r.hidden;
-        std::cout << "step " << step << ": " << r.gemmCalls
-                  << " weight GEMMs, " << r.counters.lutReads
+    // 2. Submit requests with a kSteps-token budget, each seeded with
+    //    its own synthetic input, and run fused decode steps for real:
+    //    every layer GEMM runs once over the whole batch through the
+    //    packed LUT kernel on the engine's persistent
+    //    ExecutionContext, vector ops as reference kernels, KV growing
+    //    per step.
+    serve::RequestId first = 0;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        const auto id = engine.submit({kSteps, Rng::kDefaultSeed + i});
+        if (!id.ok()) {
+            std::cerr << id.status().toString() << "\n";
+            return 1;
+        }
+        if (i == 0)
+            first = id.value();
+    }
+    // Price each step before running it: once the last step retires
+    // the requests, the engine is drained and has nothing left to
+    // score.
+    std::vector<KernelTask> lastTasks;
+    for (std::size_t step = 0; step < kSteps; ++step) {
+        lastTasks = engine.workloadTasks();
+        const auto r = engine.step();
+        if (!r.ok()) {
+            std::cerr << r.status().toString() << "\n";
+            return 1;
+        }
+        std::cout << "step " << step << ": " << r.value().gemmCalls
+                  << " weight GEMMs over " << r.value().decodeTokens
+                  << " requests, " << r.value().counters.lutReads
                   << " LUT reads (each retiring mu="
-                  << session.options().quant.mu
-                  << " binary MACs), KV length " << session.kvLength()
-                  << "\n";
+                  << engine.model().options().mu
+                  << " binary MACs), KV length "
+                  << engine.poll(first).value().kvLength << "\n";
     }
 
-    // 3. What would the step we just executed cost on the modeled
-    //    hardware? simulate() scores the same layer graph the session
-    //    ran, via the analytic accelerator model.
+    // 3. What did the step we just executed cost on the modeled
+    //    hardware? Its KernelTask list is the same layer graph the
+    //    engine ran, scored by the analytic accelerator model.
     HwConfig hw;
     hw.engine = EngineKind::FIGLUT_I;
-    const auto sim = session.simulate(hw);
+    const auto sim = Accelerator(hw).runWorkload(lastTasks);
     std::cout << "\nsimulated on " << hw.describe() << ": "
               << TextTable::num(sim.seconds * 1e3, 3) << " ms/step, "
               << TextTable::num(sim.energy.totalJoules() * 1e3, 3)

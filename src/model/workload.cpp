@@ -32,11 +32,7 @@ layerSpecs(const OptConfig &model, const WorkloadOptions &options,
         steps.push_back({op, KernelTask::makeVector(name, ops)});
     };
     auto gemm = [&](LayerOp op, const char *name, std::size_t idx) {
-        KernelTask task = KernelTask::makeGemm(name, gemms[idx]);
-        // Sharded execution is an attribute of the GEMM, not of the
-        // vector ops: the Accelerator prices one combine per task.
-        task.shards = options.shards > 0 ? options.shards : 1;
-        steps.push_back({op, std::move(task)});
+        steps.push_back({op, KernelTask::makeGemm(name, gemms[idx])});
     };
 
     vec(LayerOp::LayerNorm1, "ln1", layerNormOps(b, h));

@@ -7,7 +7,7 @@
  * The layer is described once, as a sequence of LayerStepSpec — each
  * step carrying its semantic operation (what to compute) together with
  * its analytic KernelTask (shape/op-count view). Two backends consume
- * the same description: runtime/Session executes the steps numerically
+ * the same description: serve::Engine executes the steps numerically
  * with the functional kernels, and sim/Accelerator scores the mapped
  * KernelTask sequence for timing/energy (Table V, Fig. 15) — one
  * description, two backends, so the scored workload is exactly the
@@ -37,12 +37,6 @@ struct WorkloadOptions
     std::size_t groupSize = 0;
     /** BCQ offset / uniform zero-point term present. */
     bool hasOffset = true;
-    /**
-     * Worker groups each GEMM is row-sharded across (stamped onto the
-     * emitted GEMM tasks; 1 = unsharded). Shards > 1 makes the
-     * Accelerator price one interconnect combine per GEMM.
-     */
-    int shards = 1;
 };
 
 /**

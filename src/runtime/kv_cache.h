@@ -1,15 +1,16 @@
 /**
  * @file
- * Per-sequence KV cache of a decoder, extracted from Session so the
- * serve layer can key one cache per request.
+ * Per-sequence KV cache of a decoder: the contiguous export form of one
+ * request's KV history.
  *
  * A KvCache holds, for every decoder layer, the K and V snapshots of
  * each decode step executed so far (one hidden x width matrix per
  * step, oldest first). All layers grow in lock-step — a decode step
  * appends exactly one entry per layer — so the cache has one length.
- * Session keeps one batch-wide cache column per sequence; the serve
- * Engine keeps one single-column cache per live request, which is what
- * makes ragged (per-request) context lengths representable.
+ * The serve Engine stores live KV in its paged arena
+ * (runtime/kv_arena.h) and hands out a single-column KvCache per
+ * request from kvHistory(); the arena's tests use KvCache as their
+ * contiguous oracle.
  */
 
 #ifndef FIGLUT_RUNTIME_KV_CACHE_H

@@ -376,9 +376,9 @@ Engine::step()
                        &ctx_);
     };
 
-    // Same per-column arithmetic as a batch-1 Session step: the GEMM
-    // and every vector op treat columns independently, so each request
-    // is bit-identical to running alone (the differential suite pins
+    // Same per-column arithmetic as a batch-1 step: the GEMM and every
+    // vector op treat columns independently, so each request is
+    // bit-identical to running alone (the differential suite pins
     // this) — and a prefill chunked any which way is bit-identical to
     // the whole prompt in one step (the prefill suite pins that).
     KvArena &kv = scheduler_.arena();

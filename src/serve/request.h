@@ -47,7 +47,7 @@ struct RequestOptions
     /**
      * Decode steps before the engine retires the request (its token
      * budget). 0 = unbounded: the request decodes until cancelled —
-     * the mode the Session adapter drives.
+     * the mode an external driver feeding provideInput() uses.
      */
     std::size_t maxTokens = 16;
     /**

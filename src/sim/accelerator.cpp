@@ -59,29 +59,6 @@ Accelerator::runWorkload(const std::vector<KernelTask> &tasks) const
                 (static_cast<double>(task.gemm.n) * task.gemm.batch +
                  static_cast<double>(task.gemm.m) * task.gemm.batch) *
                 store / 8.0;
-            // Row-sharded execution: compute is unchanged (each output
-            // row runs on exactly one group), but every GEMM pays one
-            // combine — broadcast the activations to the shards-1
-            // remote groups, gather their share of the output rows —
-            // priced b_eff-style as latency + bytes / eff. bandwidth.
-            if (task.shards > 1) {
-                const double remote =
-                    static_cast<double>(task.shards - 1);
-                const double bytes =
-                    (static_cast<double>(task.gemm.n) *
-                         task.gemm.batch * remote +
-                     static_cast<double>(task.gemm.m) *
-                         task.gemm.batch * remote / task.shards) *
-                    store / 8.0;
-                const double commS =
-                    hw_.interconnect.latencyS +
-                    bytes / hw_.interconnect.bandwidthBytesPerS;
-                const double commCycles =
-                    commS * hw_.tech.freqMhz * 1e6;
-                result.commBytes += bytes;
-                result.commCycles += commCycles;
-                result.totalCycles += commCycles;
-            }
             gemm_ops += task.gemm.ops();
             result.gemmResults.push_back(std::move(sim));
             break;

@@ -30,15 +30,6 @@ struct KernelTask
     std::string name;
     GemmShape gemm;       ///< valid when kind == Gemm
     VpuOpCounts vector;   ///< valid when kind == Vector
-    /**
-     * Worker groups this GEMM is row-sharded across (1 = unsharded).
-     * Sharding never changes the computed result, so the compute
-     * cycles are unchanged; shards > 1 adds one interconnect combine
-     * per GEMM (HwConfig::interconnect): the activation broadcast to
-     * the shards-1 remote groups plus the gather of their output
-     * rows. Ignored for vector tasks.
-     */
-    int shards = 1;
 
     static KernelTask makeGemm(std::string name, GemmShape shape);
     static KernelTask makeVector(std::string name, VpuOpCounts ops);
@@ -52,8 +43,6 @@ struct WorkloadResult
     EnergyBreakdown energy;
     double gemmCycles = 0.0;
     double vpuCycles = 0.0;
-    double commCycles = 0.0;  ///< interconnect combines (sharded GEMMs)
-    double commBytes = 0.0;   ///< bytes moved by those combines
     double axiBytes = 0.0;    ///< host<->accelerator shared-memory traffic
     double effTops = 0.0;     ///< GEMM ops / wall time
     double topsPerWatt = 0.0;

@@ -70,16 +70,6 @@ HwConfig::describe() const
 }
 
 void
-InterconnectConfig::validate() const
-{
-    if (latencyS < 0.0)
-        fatal("interconnect latency must be >= 0, got ", latencyS);
-    if (bandwidthBytesPerS <= 0.0)
-        fatal("interconnect bandwidth must be positive, got ",
-              bandwidthBytesPerS);
-}
-
-void
 ExecConfig::validate() const
 {
     if (backend != LutGemmBackend::Reference && blockRows < 1)
@@ -115,7 +105,6 @@ HwConfig::validate() const
     if (tech.freqMhz <= 0.0)
         fatal("clock frequency must be positive");
     exec.validate();
-    interconnect.validate();
 }
 
 } // namespace figlut

@@ -67,35 +67,6 @@ struct ExecConfig
     void validate() const;
 };
 
-/**
- * Interconnect cost model for the accelerator's row-sharded scale-out
- * (KernelTask::shards > 1), in the spirit of HPCC's b_eff
- * effective-bandwidth methodology: one combine (the activation
- * broadcast to remote worker groups + the gather of their output
- * rows) costs latencyS + bytes / bandwidthBytesPerS.
- *
- * The defaults are fixed constants. They were measured once, on a
- * 4-vCPU single-NUMA-node x86-64 development host, by a cross-pool
- * transfer probe that the host sharding executor shipped with; both
- * went when that executor did (it measured as pure overhead on every
- * host this project runs on). On a one-node host the probe only timed
- * a same-pool handoff, so treat the constants as an order-of-magnitude
- * prior and override them for a real interconnect.
- */
-struct InterconnectConfig
-{
-    /** Per-combine fixed cost: cross-group handshake + wakeup. The
-     *  default is the best mutex/condvar handoff half round trip the
-     *  probe measured. */
-    double latencyS = 1.0e-6;
-    /** Effective cross-group bandwidth for combine traffic. The
-     *  default is the probe's cross-pool copy rate. */
-    double bandwidthBytesPerS = 2.0e10;
-
-    /** Validate invariants; throws FatalError on bad input. */
-    void validate() const;
-};
-
 /** Engine hardware configuration. */
 struct HwConfig
 {
@@ -117,8 +88,6 @@ struct HwConfig
     int fixedWeightBits = 4;
     TechParams tech = TechParams::default28nm();
     ExecConfig exec; ///< host execution of the functional kernels
-    /** Combine pricing for sharded GEMM tasks (shards > 1). */
-    InterconnectConfig interconnect;
 
     /** True for the bit-serial engines (iFPU, FIGLUT). */
     bool bitSerial() const;

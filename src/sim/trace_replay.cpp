@@ -53,7 +53,6 @@ replayTrace(const OptConfig &model, const HwConfig &hw,
     workload.includeVector = options.includeVector;
     workload.groupSize = options.groupSize;
     workload.hasOffset = options.hasOffset;
-    workload.shards = options.shards;
 
     // The engine's scheduler, over a shadow arena: same geometry,
     // budget, and injector, but blocks are only reserved and released

@@ -22,9 +22,9 @@
  * budget, and FaultInjector as the engine's, but it only *reserves*
  * blocks and never writes a KV byte, so a replay costs block-table
  * bookkeeping, not slab memory. (This is a deliberate inversion of
- * the layer map — sim consuming serve/scheduler.h, like
- * runtime/session consuming serve/engine.h: the replay is a model *of*
- * the serving engine and shares its policy code by construction.)
+ * the layer map — sim consuming serve/scheduler.h: the replay is a
+ * model *of* the serving engine and shares its policy code by
+ * construction.)
  *
  * One difference is by design: deadlines and queueS are measured from
  * arrivalS here but from the actual submit time in the engine —
@@ -72,11 +72,6 @@ struct ReplayOptions
     bool includeVector = true; ///< price the VPU kernels too
     std::size_t groupSize = 0; ///< scale-group geometry (0 = per-row)
     bool hasOffset = true;     ///< BCQ offset term present
-    /** Accelerator worker groups each GEMM is row-sharded across
-     *  (1 = unsharded); shards > 1 prices one interconnect combine
-     *  per GEMM. The host engine always runs unsharded, so only
-     *  shards = 1 replays are pinned to it. */
-    int shards = 1;
     /** KV byte budget (0 = unbounded), as EngineOptions::kvBudgetBytes. */
     std::size_t kvBudgetBytes = 0;
     /** Arena paging granularity, as EngineOptions::kvBlockTokens. */

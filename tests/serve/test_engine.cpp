@@ -2,11 +2,15 @@
  * @file
  * Tests for the request-level serving engine (serve/engine.h).
  *
- * The load-bearing suite is the differential one: an Engine decoding N
- * concurrent requests with ragged token budgets and staggered
- * admission must produce, per request, bit-identical hidden states and
- * KV histories to N independent batch-1 Sessions — continuous batching
- * is an amortization, never a numerics change. The rest covers the
+ * The load-bearing suites are the differential ones, both against a
+ * hand-rolled per-layer oracle (Reference-backend lutGemm + reference
+ * vector ops, fresh resources every call, its own KV cache): an Engine
+ * fed a lock-step batch through provideInput() must match the oracle
+ * bit for bit, and an Engine decoding N concurrent requests with
+ * ragged token budgets and staggered admission must match, per
+ * request, N independent batch-1 oracle runs — hidden states, KV
+ * histories and counter shares. Continuous batching is an
+ * amortization, never a numerics change. The rest covers the
  * Status-based rejection paths (construction knobs, capacity,
  * lifecycle) and the live-batch analytic workload.
  */
@@ -18,7 +22,7 @@
 #include "common/rng.h"
 #include "model/synthetic.h"
 #include "model/workload.h"
-#include "runtime/session.h"
+#include "runtime/reference_ops.h"
 #include "serve/engine.h"
 
 namespace figlut {
@@ -58,14 +62,193 @@ expectCountersEqual(const LutGemmCounters &a, const LutGemmCounters &b)
     EXPECT_EQ(a.offsetOps, b.offsetOps);
 }
 
+void
+expectTasksEqual(const std::vector<KernelTask> &a,
+                 const std::vector<KernelTask> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].kind, b[i].kind) << "task " << i;
+        EXPECT_EQ(a[i].name, b[i].name) << "task " << i;
+        if (a[i].kind == KernelTask::Kind::Gemm) {
+            EXPECT_EQ(a[i].gemm.m, b[i].gemm.m) << "task " << i;
+            EXPECT_EQ(a[i].gemm.n, b[i].gemm.n) << "task " << i;
+            EXPECT_EQ(a[i].gemm.batch, b[i].gemm.batch) << "task " << i;
+            EXPECT_EQ(a[i].gemm.weightBits, b[i].gemm.weightBits)
+                << "task " << i;
+            EXPECT_EQ(a[i].gemm.groupSize, b[i].gemm.groupSize)
+                << "task " << i;
+            EXPECT_EQ(a[i].gemm.hasOffset, b[i].gemm.hasOffset)
+                << "task " << i;
+        } else {
+            EXPECT_EQ(a[i].vector.adds, b[i].vector.adds) << "task " << i;
+            EXPECT_EQ(a[i].vector.muls, b[i].vector.muls) << "task " << i;
+            EXPECT_EQ(a[i].vector.specials, b[i].vector.specials)
+                << "task " << i;
+        }
+    }
+}
+
+/** Column b of m as an m.rows() x 1 matrix. */
+MatrixD
+column(const MatrixD &m, std::size_t b)
+{
+    MatrixD c(m.rows(), 1);
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        c(r, 0) = m(r, b);
+    return c;
+}
+
 /**
- * The tentpole differential: one Engine serving N requests of
- * different ages (ragged budgets, one submitted mid-flight so it waits
- * in the queue) against N independent batch-1 Sessions, self-fed from
- * the same seeds. Hidden states are compared per request after *every*
- * fused step, KV histories, counters, and stats at retirement.
+ * Hand-rolled decode step over the engine's own quantized weights:
+ * per-layer Reference-backend lutGemm calls (no ExecutionContext, no
+ * pre-packed keys) chained with the reference vector ops, appending
+ * this step's K/V to its own cache (one column per sequence). It
+ * shares nothing with the engine's fused path but the weights and the
+ * kernels' arithmetic. Kernel counters accumulate into `counters`
+ * when given.
  */
-TEST(Engine, MatchesIndependentBatch1Sessions)
+MatrixD
+handRolledStep(const QuantizedModel &qm, const ExecOptions &exec,
+               const MatrixD &input, KvCache &cache,
+               LutGemmCounters *counters = nullptr)
+{
+    LutGemmConfig cfg = makeGemmConfig(exec, qm.options().mu);
+    cfg.backend = LutGemmBackend::Reference;
+    cfg.threads = 0;
+    cfg.blockRows = 64;
+
+    const OptConfig &model = qm.config();
+    const std::size_t h = model.hidden;
+    const std::size_t batch = input.cols();
+    MatrixD x = input;
+    for (std::size_t l = 0; l < qm.layers(); ++l) {
+        const QuantizedLayer &layer = qm.layer(l);
+        MatrixD ln = referenceLayerNorm(x);
+        const MatrixD qkv = lutGemm(layer.qkv, ln, cfg, counters);
+        MatrixD q(h, batch), k(h, batch), v(h, batch);
+        for (std::size_t r = 0; r < h; ++r) {
+            for (std::size_t b = 0; b < batch; ++b) {
+                q(r, b) = qkv(r, b);
+                k(r, b) = qkv(h + r, b);
+                v(r, b) = qkv(2 * h + r, b);
+            }
+        }
+        cache.append(l, std::move(k), std::move(v));
+        const MatrixD attn = referenceDecodeAttention(
+            q, cache.keys(l), cache.values(l), model.heads);
+        MatrixD proj = lutGemm(layer.attnOut, attn, cfg, counters);
+        x = referenceResidualAdd(x, proj);
+        ln = referenceLayerNorm(x);
+        MatrixD f = lutGemm(layer.fc1, ln, cfg, counters);
+        f = referenceGelu(f);
+        proj = lutGemm(layer.fc2, f, cfg, counters);
+        x = referenceResidualAdd(x, proj);
+    }
+    return x;
+}
+
+/**
+ * An Engine serving a lock-step batch — `batch` unbounded requests,
+ * every step's columns injected with provideInput() — against the
+ * hand-rolled oracle on the whole batch. Randomized OPT-125M-style
+ * shapes, scaled down so the per-trial quantization stays in test
+ * budget: the per-layer structure (4 GEMMs around
+ * LN/attention/GELU/residuals) is the real one.
+ */
+TEST(Engine, DecodeStepBitIdenticalToHandRolledReference)
+{
+    Rng trialRng(2025);
+    for (int trial = 0; trial < 4; ++trial) {
+        const std::size_t heads = trial % 2 == 0 ? 2 : 4;
+        const std::size_t hidden =
+            heads * static_cast<std::size_t>(trialRng.uniformInt(8, 16));
+        const std::size_t ffn =
+            hidden * static_cast<std::size_t>(trialRng.uniformInt(2, 4));
+        const std::size_t layers =
+            static_cast<std::size_t>(trialRng.uniformInt(1, 2));
+        const auto model = tinyConfig(hidden, layers, heads, ffn);
+
+        EngineOptions opts;
+        opts.model.weightBits =
+            static_cast<int>(trialRng.uniformInt(2, 4));
+        opts.model.groupSize = trial % 2 == 0 ? 0 : 16;
+        opts.model.useOffset = trial % 2 == 1;
+        opts.model.bcqIterations = 1;
+        opts.model.mu = static_cast<int>(trialRng.uniformInt(3, 5));
+        opts.model.seed = 7000 + static_cast<uint64_t>(trial);
+        const auto batch =
+            static_cast<std::size_t>(trialRng.uniformInt(1, 3));
+        opts.maxBatch = batch;
+        opts.maxQueue = 0;
+        opts.exec.preAligned = trial % 2 == 0;
+        opts.exec.threads = 2;
+        opts.exec.blockRows = 8;
+
+        auto created = Engine::create(model, opts);
+        ASSERT_TRUE(created.ok()) << created.status().toString();
+        Engine &engine = *created.value();
+        std::vector<RequestId> ids;
+        for (std::size_t b = 0; b < batch; ++b) {
+            RequestOptions req;
+            req.maxTokens = 0; // unbounded: the test drives every input
+            const auto id = engine.submit(req);
+            ASSERT_TRUE(id.ok()) << id.status().toString();
+            ids.push_back(id.value());
+        }
+
+        Rng inputRng(99 + static_cast<uint64_t>(trial));
+        MatrixD engineHidden =
+            syntheticActivations(hidden, batch, inputRng);
+        MatrixD refHidden = engineHidden;
+        KvCache refKv(engine.model().layers());
+        // Two steps so the second one attends over a real KV history.
+        for (int step = 0; step < 2; ++step) {
+            for (std::size_t b = 0; b < batch; ++b)
+                ASSERT_TRUE(
+                    engine.provideInput(ids[b], column(engineHidden, b))
+                        .ok());
+            const auto stats = engine.step();
+            ASSERT_TRUE(stats.ok()) << stats.status().toString();
+            for (std::size_t b = 0; b < batch; ++b) {
+                const auto snap = engine.poll(ids[b]);
+                ASSERT_TRUE(snap.ok()) << snap.status().toString();
+                for (std::size_t r = 0; r < hidden; ++r)
+                    engineHidden(r, b) = snap.value().hidden(r, 0);
+            }
+            refHidden = handRolledStep(engine.model(), opts.exec,
+                                       refHidden, refKv);
+            EXPECT_EQ(engineHidden, refHidden)
+                << "trial " << trial << " step " << step;
+            EXPECT_EQ(stats.value().gemmCalls,
+                      4 * engine.model().layers())
+                << "trial " << trial;
+        }
+
+        // Each request's KV history is its own column of the oracle's
+        // batch cache: h x 1 snapshots per step and layer.
+        for (std::size_t b = 0; b < batch; ++b) {
+            KvCache expected(refKv.layers());
+            for (std::size_t l = 0; l < refKv.layers(); ++l)
+                for (std::size_t t = 0; t < refKv.length(); ++t)
+                    expected.append(l, column(refKv.keys(l)[t], b),
+                                    column(refKv.values(l)[t], b));
+            const auto kv = engine.kvHistory(ids[b]);
+            ASSERT_TRUE(kv.ok()) << kv.status().toString();
+            EXPECT_EQ(kv.value(), expected)
+                << "trial " << trial << " request " << b;
+        }
+    }
+}
+
+/**
+ * One Engine serving N requests of different ages (ragged budgets, one
+ * submitted mid-flight so it waits in the queue) against N independent
+ * batch-1 runs of the hand-rolled oracle, self-fed from the same
+ * seeds. Hidden states are compared per request after *every* fused
+ * step, KV histories, counters, and stats at retirement.
+ */
+TEST(Engine, MatchesIndependentBatch1Runs)
 {
     const auto model = tinyConfig(16, 2, 2, 32);
     EngineOptions opts = tinyEngineOptions();
@@ -75,41 +258,31 @@ TEST(Engine, MatchesIndependentBatch1Sessions)
     const std::size_t budgets[kRequests] = {2, 4, 3};
     const uint64_t seeds[kRequests] = {101, 202, 303};
 
-    // Reference trajectories: per request, a batch-1 Session self-fed
-    // from the request's synthetic initial hidden state.
+    auto created = Engine::create(model, opts);
+    ASSERT_TRUE(created.ok()) << created.status().toString();
+    Engine &engine = *created.value();
+
+    // Reference trajectories: per request, the oracle at batch 1
+    // self-fed from the request's synthetic initial hidden state.
     std::vector<std::vector<MatrixD>> refHidden(kRequests);
     std::vector<KvCache> refKv;
     std::vector<LutGemmCounters> refCounters(kRequests);
     for (std::size_t i = 0; i < kRequests; ++i) {
-        SessionOptions so;
-        so.quant = opts.model;
-        so.exec = opts.exec;
-        so.batch = 1;
-        Session session(model, so);
         Rng rng(seeds[i]);
-        MatrixD hidden =
-            syntheticActivations(model.hidden, 1, rng);
+        MatrixD hidden = syntheticActivations(model.hidden, 1, rng);
+        KvCache cache(engine.model().layers());
         for (std::size_t t = 0; t < budgets[i]; ++t) {
-            const auto r = session.runDecodeStep(hidden);
-            hidden = r.hidden;
+            hidden = handRolledStep(engine.model(), opts.exec, hidden,
+                                    cache, &refCounters[i]);
             refHidden[i].push_back(hidden);
-            refCounters[i].lutGenerations += r.counters.lutGenerations;
-            refCounters[i].generatorAdds += r.counters.generatorAdds;
-            refCounters[i].lutReads += r.counters.lutReads;
-            refCounters[i].racAccumulates += r.counters.racAccumulates;
-            refCounters[i].scaleMuls += r.counters.scaleMuls;
-            refCounters[i].offsetOps += r.counters.offsetOps;
         }
-        refKv.push_back(session.kv(0));
+        refKv.push_back(std::move(cache));
     }
 
     // Serve the same three requests concurrently: two up front, the
     // third submitted after the first fused step (it must queue until
     // request 0 retires, then join with a fresh KV while the others
     // are mid-sequence — the ragged case).
-    auto created = Engine::create(model, opts);
-    ASSERT_TRUE(created.ok()) << created.status().toString();
-    Engine &engine = *created.value();
 
     RequestId ids[kRequests] = {};
     for (std::size_t i = 0; i < 2; ++i) {
@@ -405,10 +578,15 @@ TEST(Engine, CancelFreesTheSlotForQueuedTraffic)
               RequestState::Finished);
 }
 
+/**
+ * A reset with a non-trivial KV history must replay *every* later step
+ * bit-identically, not just the first: the KV clear has to reach every
+ * layer of the request's sequence.
+ */
 TEST(Engine, ResetKvRestartsARequestDeterministically)
 {
     EngineOptions opts = tinyEngineOptions();
-    auto created = Engine::create(tinyConfig(16, 1, 2, 32), opts);
+    auto created = Engine::create(tinyConfig(16, 2, 2, 32), opts);
     ASSERT_TRUE(created.ok());
     Engine &engine = *created.value();
 
@@ -416,18 +594,183 @@ TEST(Engine, ResetKvRestartsARequestDeterministically)
     ASSERT_TRUE(id.ok());
     const MatrixD input = engine.poll(id.value()).value().hidden;
 
-    ASSERT_TRUE(engine.step().ok());
-    const MatrixD first = engine.poll(id.value()).value().hidden;
-    ASSERT_TRUE(engine.step().ok());
-    EXPECT_EQ(engine.poll(id.value()).value().kvLength, 2u);
+    constexpr std::size_t kSteps = 3;
+    std::vector<MatrixD> firstLife;
+    for (std::size_t t = 0; t < kSteps; ++t) {
+        ASSERT_TRUE(engine.step().ok());
+        firstLife.push_back(engine.poll(id.value()).value().hidden);
+    }
+    EXPECT_EQ(engine.poll(id.value()).value().kvLength, kSteps);
+    const auto firstKv = engine.kvHistory(id.value());
+    ASSERT_TRUE(firstKv.ok());
 
     ASSERT_TRUE(engine.resetKv(id.value()).ok());
     EXPECT_EQ(engine.poll(id.value()).value().kvLength, 0u);
+    EXPECT_TRUE(engine.kvHistory(id.value()).value().empty());
+    // Re-inject the first input, then let the request feed itself.
     ASSERT_TRUE(engine.provideInput(id.value(), input).ok());
-    ASSERT_TRUE(engine.step().ok());
-    EXPECT_EQ(engine.poll(id.value()).value().hidden, first);
+    for (std::size_t t = 0; t < kSteps; ++t) {
+        ASSERT_TRUE(engine.step().ok());
+        EXPECT_EQ(engine.poll(id.value()).value().hidden, firstLife[t])
+            << "step " << t;
+    }
+    EXPECT_EQ(engine.poll(id.value()).value().kvLength, kSteps);
+
+    // The replayed KV history matches too, across both layers.
+    const auto replayKv = engine.kvHistory(id.value());
+    ASSERT_TRUE(replayKv.ok());
+    EXPECT_EQ(replayKv.value().layers(), 2u);
+    EXPECT_EQ(replayKv.value().length(), kSteps);
+    EXPECT_GT(replayKv.value().bytes(), 0u);
+    EXPECT_EQ(replayKv.value(), firstKv.value());
 
     ASSERT_TRUE(engine.cancel(id.value()).ok());
+}
+
+/**
+ * Submits `count` unbounded requests, each self-fed from its own seed,
+ * and returns their ids with the first-step inputs.
+ */
+std::vector<RequestId>
+submitUnbounded(Engine &engine, std::size_t count,
+                std::vector<MatrixD> &inputs)
+{
+    std::vector<RequestId> ids;
+    for (std::size_t b = 0; b < count; ++b) {
+        const auto id = engine.submit({0, 40 + b});
+        EXPECT_TRUE(id.ok()) << id.status().toString();
+        ids.push_back(id.value());
+        inputs.push_back(engine.poll(id.value()).value().hidden);
+    }
+    return ids;
+}
+
+/**
+ * A lock-step batch of two requests: every request's KV length grows
+ * by one per fused step, and resetting them all restarts the sequence
+ * — the same inputs reproduce the first step bit for bit.
+ */
+TEST(Engine, KvCacheGrowsAndResetRestartsTheSequence)
+{
+    auto created =
+        Engine::create(tinyConfig(16, 1, 2, 32), tinyEngineOptions());
+    ASSERT_TRUE(created.ok());
+    Engine &engine = *created.value();
+    std::vector<MatrixD> inputs;
+    const auto ids = submitUnbounded(engine, 2, inputs);
+
+    std::vector<MatrixD> first;
+    for (const auto id : ids)
+        EXPECT_EQ(engine.poll(id).value().kvLength, 0u);
+    ASSERT_TRUE(engine.step().ok());
+    for (const auto id : ids) {
+        EXPECT_EQ(engine.poll(id).value().kvLength, 1u);
+        first.push_back(engine.poll(id).value().hidden);
+    }
+    ASSERT_TRUE(engine.step().ok());
+    for (const auto id : ids)
+        EXPECT_EQ(engine.poll(id).value().kvLength, 2u);
+
+    for (std::size_t b = 0; b < ids.size(); ++b) {
+        ASSERT_TRUE(engine.resetKv(ids[b]).ok());
+        EXPECT_EQ(engine.poll(ids[b]).value().kvLength, 0u);
+        ASSERT_TRUE(engine.provideInput(ids[b], inputs[b]).ok());
+    }
+    ASSERT_TRUE(engine.step().ok());
+    for (std::size_t b = 0; b < ids.size(); ++b) {
+        EXPECT_EQ(engine.poll(ids[b]).value().kvLength, 1u);
+        EXPECT_EQ(engine.poll(ids[b]).value().hidden, first[b])
+            << "request " << b;
+    }
+}
+
+/**
+ * Resetting every request of a two-layer, two-request batch after three
+ * steps replays all three later steps bit-identically for each request,
+ * and each request's KV history is rebuilt across both layers.
+ */
+TEST(Engine, ResetKvMidSequenceReplaysTheWholeSequence)
+{
+    auto created =
+        Engine::create(tinyConfig(16, 2, 2, 32), tinyEngineOptions());
+    ASSERT_TRUE(created.ok());
+    Engine &engine = *created.value();
+    std::vector<MatrixD> inputs;
+    const auto ids = submitUnbounded(engine, 2, inputs);
+
+    constexpr std::size_t kSteps = 3;
+    std::vector<std::vector<MatrixD>> firstLife(ids.size());
+    for (std::size_t t = 0; t < kSteps; ++t) {
+        ASSERT_TRUE(engine.step().ok());
+        for (std::size_t b = 0; b < ids.size(); ++b)
+            firstLife[b].push_back(engine.poll(ids[b]).value().hidden);
+    }
+
+    for (std::size_t b = 0; b < ids.size(); ++b) {
+        EXPECT_EQ(engine.poll(ids[b]).value().kvLength, kSteps);
+        ASSERT_TRUE(engine.resetKv(ids[b]).ok());
+        ASSERT_TRUE(engine.provideInput(ids[b], inputs[b]).ok());
+    }
+    for (std::size_t t = 0; t < kSteps; ++t) {
+        ASSERT_TRUE(engine.step().ok());
+        for (std::size_t b = 0; b < ids.size(); ++b)
+            EXPECT_EQ(engine.poll(ids[b]).value().hidden, firstLife[b][t])
+                << "request " << b << " step " << t;
+    }
+
+    for (const auto id : ids) {
+        EXPECT_EQ(engine.poll(id).value().kvLength, kSteps);
+        const auto kv = engine.kvHistory(id);
+        ASSERT_TRUE(kv.ok()) << kv.status().toString();
+        EXPECT_EQ(kv.value().layers(), 2u);
+        EXPECT_EQ(kv.value().length(), kSteps);
+        EXPECT_GT(kv.value().bytes(), 0u);
+    }
+}
+
+/**
+ * QuantizedModelOptions::maxLayers truncates the materialized model,
+ * and the engine's emitted workload follows the truncated config: the
+ * next step's KernelTask list equals decodeStepWorkload for it,
+ * element for element, carrying the quantization geometry onto every
+ * GEMM.
+ */
+TEST(Engine, MaxLayersTruncatesModelAndWorkload)
+{
+    const auto model = tinyConfig(16, 5, 2, 32);
+    for (const bool includeVector : {true, false}) {
+        EngineOptions opts = tinyEngineOptions();
+        opts.model.maxLayers = 2;
+        opts.model.weightBits = 2;
+        opts.model.groupSize = 16;
+        opts.model.useOffset = false;
+        opts.includeVector = includeVector;
+        auto created = Engine::create(model, opts);
+        ASSERT_TRUE(created.ok()) << created.status().toString();
+        Engine &engine = *created.value();
+        EXPECT_EQ(engine.model().layers(), 2u);
+        EXPECT_EQ(engine.model().config().layers, 2u);
+        EXPECT_GT(engine.model().storageBytes(), 0u);
+        EXPECT_GT(engine.model().packedKeyBytes(), 0u);
+
+        ASSERT_TRUE(engine.submit({2, 4}).ok());
+        ASSERT_TRUE(engine.submit({2, 5}).ok());
+        WorkloadOptions wl;
+        wl.batch = 2;
+        wl.weightBits = 2;
+        wl.groupSize = 16;
+        wl.hasOffset = false;
+        wl.includeVector = includeVector;
+        const auto tasks = engine.workloadTasks();
+        expectTasksEqual(tasks,
+                         decodeStepWorkload(engine.model().config(), wl,
+                                            std::vector<std::size_t>{1, 1}));
+        EXPECT_EQ(tasks.size(), (includeVector ? 10u : 4u) * 2u);
+
+        const auto stats = engine.step();
+        ASSERT_TRUE(stats.ok());
+        EXPECT_EQ(stats.value().gemmCalls, 4u * 2u);
+    }
 }
 
 TEST(Engine, WorkloadTasksTrackTheLiveRaggedBatch)
