@@ -139,7 +139,6 @@ BM_LutGemmSimd(benchmark::State &state)
     cfg.preAligned = true;
     cfg.backend = LutGemmBackend::Simd;
     cfg.threads = threads;
-    cfg.blockRows = 64;
     const auto packed = packLutKeys(tensor, cfg.mu);
     LutGemmCounters perCall;
     (void)lutGemm(tensor, x, cfg, packed, &perCall);
@@ -183,9 +182,8 @@ BM_LutGemmSmallRepeated(benchmark::State &state)
     cfg.preAligned = true;
     cfg.backend = LutGemmBackend::Simd;
     cfg.threads = 4;
-    cfg.blockRows = 64;
     const auto packed = packLutKeys(tensor, cfg.mu);
-    ExecutionContext ctx(cfg.threads);
+    ExecutionContext ctx;
     LutGemmCounters perCall;
     (void)lutGemm(tensor, x, cfg, packed, &perCall,
                   shared ? &ctx : nullptr);

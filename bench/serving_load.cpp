@@ -40,11 +40,13 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_util.h"
@@ -134,6 +136,35 @@ printUsage()
            " scenario, high rate\n";
 }
 
+/**
+ * Parse all of `text` as a T: unsigned types take no sign, nothing may
+ * trail the number, out-of-range values are refused, and a double must
+ * be finite and non-negative (every double flag is a rate, a size or a
+ * time). On failure, names the flag on stderr and leaves *out alone.
+ */
+template <typename T>
+bool
+parseNumber(const std::string &flag, const char *text, T *out)
+{
+    const char *end = text + std::strlen(text);
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    bool ok = ec == std::errc() && ptr == end && ptr != text;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value) && value >= 0.0;
+    if (!ok) {
+        std::cerr << "invalid value for " << flag << ": '" << text
+                  << "' (want "
+                  << (std::is_floating_point_v<T> ? "a non-negative number"
+                      : std::is_unsigned_v<T>     ? "a non-negative integer"
+                                                  : "an integer")
+                  << ")\n";
+        return false;
+    }
+    *out = value;
+    return true;
+}
+
 bool
 parseArgs(int argc, char **argv, CliOptions &cli)
 {
@@ -145,6 +176,7 @@ parseArgs(int argc, char **argv, CliOptions &cli)
     };
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
+        bool ok = true;
         if (flag == "--help" || flag == "-h") {
             printUsage();
             std::exit(0);
@@ -163,34 +195,27 @@ parseArgs(int argc, char **argv, CliOptions &cli)
         } else if (flag == "--scenario") {
             cli.scenario = argv[++i];
         } else if (flag == "--requests") {
-            cli.requests =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(flag, argv[++i], &cli.requests);
         } else if (flag == "--rate") {
-            cli.ratePerS = std::atof(argv[++i]);
+            ok = parseNumber(flag, argv[++i], &cli.ratePerS);
         } else if (flag == "--seed") {
-            cli.seed =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            ok = parseNumber(flag, argv[++i], &cli.seed);
         } else if (flag == "--max-batch") {
-            cli.maxBatch =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(flag, argv[++i], &cli.maxBatch);
         } else if (flag == "--max-queue") {
-            cli.maxQueue =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(flag, argv[++i], &cli.maxQueue);
         } else if (flag == "--hidden") {
-            cli.hidden =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(flag, argv[++i], &cli.hidden);
         } else if (flag == "--layers") {
-            cli.layers =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(flag, argv[++i], &cli.layers);
         } else if (flag == "--heads") {
-            cli.heads =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(flag, argv[++i], &cli.heads);
         } else if (flag == "--ffn") {
-            cli.ffn = static_cast<std::size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(flag, argv[++i], &cli.ffn);
         } else if (flag == "--weight-bits") {
-            cli.weightBits = std::atoi(argv[++i]);
+            ok = parseNumber(flag, argv[++i], &cli.weightBits);
         } else if (flag == "--threads") {
-            cli.threads = std::atoi(argv[++i]);
+            ok = parseNumber(flag, argv[++i], &cli.threads);
         } else if (flag == "--backend") {
             if (!parseLutGemmBackend(argv[++i], &cli.backend)) {
                 std::cerr << "unknown backend: " << argv[i]
@@ -198,24 +223,21 @@ parseArgs(int argc, char **argv, CliOptions &cli)
                 return false;
             }
         } else if (flag == "--kv-budget-mb") {
-            cli.kvBudgetMb = std::atof(argv[++i]);
+            ok = parseNumber(flag, argv[++i], &cli.kvBudgetMb);
         } else if (flag == "--block-tokens") {
-            cli.blockTokens =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(flag, argv[++i], &cli.blockTokens);
         } else if (flag == "--prefill-chunk") {
-            cli.prefillChunk =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(flag, argv[++i], &cli.prefillChunk);
         } else if (flag == "--policy") {
             cli.policy = argv[++i];
         } else if (flag == "--deadline-ms") {
-            cli.deadlineMs = std::atof(argv[++i]);
+            ok = parseNumber(flag, argv[++i], &cli.deadlineMs);
         } else if (flag == "--fault-every") {
-            cli.faultEvery =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            ok = parseNumber(flag, argv[++i], &cli.faultEvery);
         } else if (flag == "--slo-ttft-ms") {
-            cli.slo.ttftMs = std::atof(argv[++i]);
+            ok = parseNumber(flag, argv[++i], &cli.slo.ttftMs);
         } else if (flag == "--slo-itl-ms") {
-            cli.slo.itlMs = std::atof(argv[++i]);
+            ok = parseNumber(flag, argv[++i], &cli.slo.itlMs);
         } else if (flag == "--json") {
             cli.jsonPath = argv[++i];
         } else if (flag == "--csv") {
@@ -227,6 +249,8 @@ parseArgs(int argc, char **argv, CliOptions &cli)
             printUsage();
             return false;
         }
+        if (!ok)
+            return false;
     }
     return true;
 }

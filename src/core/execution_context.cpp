@@ -2,15 +2,10 @@
 
 namespace figlut {
 
-ExecutionContext::ExecutionContext(int threads) : threads_(threads) {}
-
-ExecutionContext::~ExecutionContext() = default;
-
 ThreadPool &
 ExecutionContext::pool(int workers)
 {
-    const int want =
-        resolveThreadCount(workers > 0 ? workers : threads_);
+    const int want = resolveThreadCount(workers);
     if (!pool_ || pool_->threadCount() < want) {
         // Join the old workers before spawning the replacements so
         // thread_local worker scratch is released, not leaked.

@@ -10,7 +10,8 @@
  * serving-loop discipline the serve Engine (serve/engine.h) is built
  * on. Kernels accept an optional ExecutionContext*; with none
  * supplied they fall back to per-call construction, so one-shot
- * callers are unaffected.
+ * callers are unaffected. A context carries resources, not policy:
+ * the worker count comes from each call's LutGemmConfig::threads.
  *
  * Ownership rules (see DESIGN.md):
  *  - An ExecutionContext is NOT thread-safe: one context serves one
@@ -42,22 +43,16 @@ namespace figlut {
 class ExecutionContext
 {
   public:
-    /**
-     * @param threads default worker budget for pool() requests that do
-     *                not name a count; <= 0 = hardware concurrency.
-     */
-    explicit ExecutionContext(int threads = 0);
-    ~ExecutionContext();
+    ExecutionContext() = default;
 
     ExecutionContext(const ExecutionContext &) = delete;
     ExecutionContext &operator=(const ExecutionContext &) = delete;
 
-    /** Configured default worker budget (<= 0 = hardware). */
-    int threads() const { return threads_; }
-
     /**
      * The owned pool, spawned lazily with at least `workers` threads
-     * (<= 0 selects the context's configured budget). A live pool
+     * (<= 0 selects the hardware concurrency). The worker budget is
+     * the kernel's to name (LutGemmConfig::threads); the context only
+     * keeps the pool alive between calls. A live pool
      * that is already large enough is reused as-is — surplus workers
      * idle harmlessly on the queue — while a larger request joins the
      * old pool and spawns a replacement, so the pool size ratchets up
@@ -116,7 +111,6 @@ class ExecutionContext
         ~Slot() { reset(); }
     };
 
-    int threads_;
     std::unique_ptr<ThreadPool> pool_;
     uint64_t poolSpawns_ = 0;
     Slot slot_;

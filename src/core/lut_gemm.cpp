@@ -1,7 +1,6 @@
 #include "core/lut_gemm.h"
 
 #include <algorithm>
-#include <mutex>
 #include <optional>
 
 #include "common/logging.h"
@@ -12,6 +11,12 @@
 namespace figlut {
 
 namespace {
+
+/**
+ * Rows per Simd work item (M-tile). Outputs do not depend on the tile
+ * height, so it is a constant rather than an option.
+ */
+constexpr std::size_t kBlockRows = 64;
 
 /** Span-walk kernel types of the SimdKernels table (core/simd.h). */
 using FpSpanKernel = decltype(SimdKernels::accumFpSpanFp32);
@@ -110,17 +115,6 @@ struct CallWorkspace
     IntColumnTables ig;
 };
 
-void
-mergeCounters(LutGemmCounters &dst, const LutGemmCounters &src)
-{
-    dst.lutGenerations += src.lutGenerations;
-    dst.generatorAdds += src.generatorAdds;
-    dst.lutReads += src.lutReads;
-    dst.racAccumulates += src.racAccumulates;
-    dst.scaleMuls += src.scaleMuls;
-    dst.offsetOps += src.offsetOps;
-}
-
 /** Key for (row, plane) over the chunk starting at c0 (tail padded 1). */
 uint32_t
 chunkKey(const BcqTensor &w, int plane, std::size_t r, std::size_t c0,
@@ -154,9 +148,11 @@ chunkKey(const BcqTensor &w, int plane, std::size_t r, std::size_t c0,
  * arena entries equal the (half-)LUT decoded reads of the Reference
  * tables entry for entry.
  *
- * The Instr template flag selects per-operation counter increments;
- * the fast path (Instr = false) never touches counters inside the
- * loops — the caller adds the closed-form totals afterwards.
+ * Counting is per backend: the Reference traversal increments the
+ * counters per operation (per LUT read, per build), while the Simd
+ * traversal never touches them inside the loops — the caller adds the
+ * closed-form totals afterwards. The differential tests prove the two
+ * independent tallies equal.
  */
 class LutGemmKernel
 {
@@ -196,7 +192,6 @@ class LutGemmKernel
     std::size_t totalChunks() const { return totalChunks_; }
     uint64_t addsPerGeneration() const { return addsPerGeneration_; }
 
-    template <bool Instr>
     void
     processRows(BlockRange rows, MatrixD &y, LutGemmCounters &cnt,
                 Scratch &s) const
@@ -206,21 +201,19 @@ class LutGemmKernel
             for (std::size_t g = 0; g < geom_.size(); ++g) {
                 const GroupGeom &gg = geom_[g];
                 if (!config_.preAligned) {
-                    buildFpGroup<Instr>(b, gg, s, cnt);
-                    accumulateFp<Instr>(rows, b, g, gg, s, y, cnt);
+                    buildFpGroup(b, gg, s, cnt);
+                    accumulateFp(rows, b, g, gg, s, y, cnt);
                 } else {
-                    buildIntGroup<Instr>(b, gg, s, cnt);
-                    accumulateInt<Instr>(rows, b, g, gg, s, y, cnt);
+                    buildIntGroup(b, gg, s, cnt);
+                    accumulateInt(rows, b, g, gg, s, y, cnt);
                 }
             }
         }
     }
 
     /** Build all LUT arenas + VPU terms of activation column b. */
-    template <bool Instr>
     void
-    buildFpColumn(std::size_t b, FpColumnTables &t, Scratch &s,
-                  LutGemmCounters &cnt) const
+    buildFpColumn(std::size_t b, FpColumnTables &t, Scratch &s) const
     {
         t.arena.ensure(totalChunks_, lutEntries(config_.mu));
         t.sumx.assign(geom_.size(), 0.0);
@@ -229,10 +222,6 @@ class LutGemmKernel
             for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
                 loadChunkValues(b, gg, ch, s.xs);
                 fillFpChunk(s.xs.data(), t.arena.chunk(gg.chunkBase + ch));
-                if constexpr (Instr) {
-                    ++cnt.lutGenerations;
-                    cnt.generatorAdds += addsPerGeneration_;
-                }
             }
             if (w_.hasOffset) {
                 double sx = 0.0;
@@ -243,10 +232,8 @@ class LutGemmKernel
         }
     }
 
-    template <bool Instr>
     void
-    buildIntColumn(std::size_t b, IntColumnTables &t, Scratch &s,
-                   LutGemmCounters &cnt) const
+    buildIntColumn(std::size_t b, IntColumnTables &t, Scratch &s) const
     {
         t.arena.ensure(totalChunks_, lutEntries(config_.mu));
         t.sumMant.assign(geom_.size(), 0);
@@ -258,10 +245,6 @@ class LutGemmKernel
                 loadChunkMantissas(block, ch, s.ms);
                 fillIntChunk(s.ms.data(),
                              t.arena.chunk(gg.chunkBase + ch));
-                if constexpr (Instr) {
-                    ++cnt.lutGenerations;
-                    cnt.generatorAdds += addsPerGeneration_;
-                }
             }
             if (w_.hasOffset) {
                 int64_t sm = 0;
@@ -280,20 +263,18 @@ class LutGemmKernel
      * (core/simd.h) one call walks every chunk of the group: the
      * group's arena slabs are contiguous (stride t.arena.stride) and
      * one plane's per-chunk key arrays are pk.rows apart (packing.h
-     * layout note). Without one — instrumented calls, and the Fp16/Bf16
-     * accumulate formats, whose per-add rounding has no hardware vector
-     * equivalent — the scalar loop does one branch-free arena read per
-     * pre-packed key. Rows are independent lanes and each row's
+     * layout note). Without one — the Fp16/Bf16 accumulate formats,
+     * whose per-add rounding has no hardware vector equivalent — the
+     * scalar loop does one branch-free arena read per pre-packed key.
+     * Rows are independent lanes and each row's
      * operation order (chunks, then planes, then offset, then the y
      * fold) is the Reference one, so outputs are bit-identical either
      * way.
      */
-    template <bool Instr>
     void
     accumulateTileFp(BlockRange rows, std::size_t b,
                      const PackedLutKeys &pk, const FpColumnTables &t,
-                     FpSpanKernel span, MatrixD &y, LutGemmCounters &cnt,
-                     Scratch &s) const
+                     FpSpanKernel span, MatrixD &y, Scratch &s) const
     {
         const int q = w_.bits;
         const FpArith arith = config_.arith;
@@ -307,7 +288,7 @@ class LutGemmKernel
             std::fill(acc, acc + tile, 0.0);
             for (int i = 0; i < q; ++i) {
                 std::fill(psum, psum + tile, 0.0);
-                if (!Instr && span != nullptr) {
+                if (span != nullptr) {
                     span(psum, t.arena.chunk(gg.chunkBase),
                          t.arena.stride,
                          pk.chunkKeys(i, gg.chunkBase) + rows.begin,
@@ -318,13 +299,8 @@ class LutGemmKernel
                         const uint32_t *keys =
                             pk.chunkKeys(i, chunk) + rows.begin;
                         const double *lut = t.arena.chunk(chunk);
-                        for (std::size_t r = 0; r < tile; ++r) {
+                        for (std::size_t r = 0; r < tile; ++r)
                             psum[r] = fpAdd(psum[r], lut[keys[r]], arith);
-                            if constexpr (Instr) {
-                                ++cnt.lutReads;
-                                ++cnt.racAccumulates;
-                            }
-                        }
                     }
                 }
                 const auto &alpha =
@@ -335,8 +311,6 @@ class LutGemmKernel
                                                psum[r],
                                            arith),
                                    arith);
-                    if constexpr (Instr)
-                        ++cnt.scaleMuls;
                 }
             }
             if (w_.hasOffset) {
@@ -346,8 +320,6 @@ class LutGemmKernel
                         fpRound(w_.offsets(rows.begin + r, g) * t.sumx[g],
                                 arith),
                         arith);
-                    if constexpr (Instr)
-                        ++cnt.offsetOps;
                 }
             }
             for (std::size_t r = 0; r < tile; ++r)
@@ -356,13 +328,15 @@ class LutGemmKernel
         }
     }
 
-    /** The integer-path (FIGLUT-I) twin of accumulateTileFp(). */
-    template <bool Instr>
+    /**
+     * The integer-path (FIGLUT-I) twin of accumulateTileFp(). Integer
+     * sums are exact, so every ISA's span kernel applies and there is
+     * no scalar fallback.
+     */
     void
     accumulateTileInt(BlockRange rows, std::size_t b,
                       const PackedLutKeys &pk, const IntColumnTables &t,
-                      IntSpanKernel span, MatrixD &y,
-                      LutGemmCounters &cnt, Scratch &s) const
+                      IntSpanKernel span, MatrixD &y, Scratch &s) const
     {
         const int q = w_.bits;
         const FpArith arith = config_.arith;
@@ -377,26 +351,9 @@ class LutGemmKernel
             std::fill(acc, acc + tile, 0.0);
             for (int i = 0; i < q; ++i) {
                 std::fill(psum, psum + tile, int64_t{0});
-                if (!Instr && span != nullptr) {
-                    span(psum, t.arena.chunk(gg.chunkBase),
-                         t.arena.stride,
-                         pk.chunkKeys(i, gg.chunkBase) + rows.begin,
-                         pk.rows, gg.chunks, tile);
-                } else {
-                    for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
-                        const std::size_t chunk = gg.chunkBase + ch;
-                        const uint32_t *keys =
-                            pk.chunkKeys(i, chunk) + rows.begin;
-                        const int64_t *lut = t.arena.chunk(chunk);
-                        for (std::size_t r = 0; r < tile; ++r) {
-                            psum[r] += lut[keys[r]];
-                            if constexpr (Instr) {
-                                ++cnt.lutReads;
-                                ++cnt.racAccumulates;
-                            }
-                        }
-                    }
-                }
+                span(psum, t.arena.chunk(gg.chunkBase), t.arena.stride,
+                     pk.chunkKeys(i, gg.chunkBase) + rows.begin, pk.rows,
+                     gg.chunks, tile);
                 const auto &alpha =
                     w_.alphas[static_cast<std::size_t>(i)];
                 for (std::size_t r = 0; r < tile; ++r) {
@@ -407,8 +364,6 @@ class LutGemmKernel
                                      scale),
                                 arith),
                         arith);
-                    if constexpr (Instr)
-                        ++cnt.scaleMuls;
                 }
             }
             if (w_.hasOffset) {
@@ -420,8 +375,6 @@ class LutGemmKernel
                         fpRound(w_.offsets(rows.begin + r, g) * sumx,
                                 arith),
                         arith);
-                    if constexpr (Instr)
-                        ++cnt.offsetOps;
                 }
             }
             for (std::size_t r = 0; r < tile; ++r)
@@ -503,7 +456,6 @@ class LutGemmKernel
             expandHalfDecodeInPlace(out, config_.mu);
     }
 
-    template <bool Instr>
     void
     buildFpGroup(std::size_t b, const GroupGeom &gg, Scratch &s,
                  LutGemmCounters &cnt) const
@@ -512,12 +464,10 @@ class LutGemmKernel
         for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
             loadChunkValues(b, gg, ch, s.xs);
             fillFpChunk(s.xs.data(), s.fp.chunk(ch));
-            if constexpr (Instr) {
-                // Accumulated after the generation it accounts for:
-                // the counters always reflect completed builds.
-                ++cnt.lutGenerations;
-                cnt.generatorAdds += addsPerGeneration_;
-            }
+            // Accumulated after the generation it accounts for: the
+            // counters always reflect completed builds.
+            ++cnt.lutGenerations;
+            cnt.generatorAdds += addsPerGeneration_;
         }
         // Offset needs sum(x) over the group (VPU side).
         s.sumx = 0.0;
@@ -527,7 +477,6 @@ class LutGemmKernel
         }
     }
 
-    template <bool Instr>
     void
     buildIntGroup(std::size_t b, const GroupGeom &gg, Scratch &s,
                   LutGemmCounters &cnt) const
@@ -537,10 +486,8 @@ class LutGemmKernel
         for (std::size_t ch = 0; ch < gg.chunks; ++ch) {
             loadChunkMantissas(block, ch, s.ms);
             fillIntChunk(s.ms.data(), s.ig.chunk(ch));
-            if constexpr (Instr) {
-                ++cnt.lutGenerations;
-                cnt.generatorAdds += addsPerGeneration_;
-            }
+            ++cnt.lutGenerations;
+            cnt.generatorAdds += addsPerGeneration_;
         }
         s.sumMant = 0;
         if (w_.hasOffset) {
@@ -550,7 +497,6 @@ class LutGemmKernel
         s.scale = block.scale();
     }
 
-    template <bool Instr>
     void
     accumulateFp(BlockRange rows, std::size_t b, std::size_t g,
                  const GroupGeom &gg, const Scratch &s, MatrixD &y,
@@ -567,32 +513,27 @@ class LutGemmKernel
                         chunkKey(w_, i, r, gg.c0 + ch * mu, gg.c1, mu);
                     psum = fpAdd(psum, s.fp.chunk(ch)[key],
                                  config_.arith);
-                    if constexpr (Instr) {
-                        ++cnt.lutReads;
-                        ++cnt.racAccumulates;
-                    }
+                    ++cnt.lutReads;
+                    ++cnt.racAccumulates;
                 }
                 const double alpha =
                     w_.alphas[static_cast<std::size_t>(i)](r, g);
                 row_acc = fpAdd(row_acc,
                                 fpRound(alpha * psum, config_.arith),
                                 config_.arith);
-                if constexpr (Instr)
-                    ++cnt.scaleMuls;
+                ++cnt.scaleMuls;
             }
             if (w_.hasOffset) {
                 row_acc = fpAdd(
                     row_acc,
                     fpRound(w_.offsets(r, g) * s.sumx, config_.arith),
                     config_.arith);
-                if constexpr (Instr)
-                    ++cnt.offsetOps;
+                ++cnt.offsetOps;
             }
             y(r, b) = fpAdd(y(r, b), row_acc, config_.arith);
         }
     }
 
-    template <bool Instr>
     void
     accumulateInt(BlockRange rows, std::size_t b, std::size_t g,
                   const GroupGeom &gg, const Scratch &s, MatrixD &y,
@@ -608,10 +549,8 @@ class LutGemmKernel
                     const uint32_t key =
                         chunkKey(w_, i, r, gg.c0 + ch * mu, gg.c1, mu);
                     psum += s.ig.chunk(ch)[key];
-                    if constexpr (Instr) {
-                        ++cnt.lutReads;
-                        ++cnt.racAccumulates;
-                    }
+                    ++cnt.lutReads;
+                    ++cnt.racAccumulates;
                 }
                 const double alpha =
                     w_.alphas[static_cast<std::size_t>(i)](r, g);
@@ -621,8 +560,7 @@ class LutGemmKernel
                                      s.scale),
                             config_.arith),
                     config_.arith);
-                if constexpr (Instr)
-                    ++cnt.scaleMuls;
+                ++cnt.scaleMuls;
             }
             if (w_.hasOffset) {
                 const double sumx =
@@ -631,8 +569,7 @@ class LutGemmKernel
                     row_acc,
                     fpRound(w_.offsets(r, g) * sumx, config_.arith),
                     config_.arith);
-                if constexpr (Instr)
-                    ++cnt.offsetOps;
+                ++cnt.offsetOps;
             }
             y(r, b) = fpAdd(y(r, b), row_acc, config_.arith);
         }
@@ -651,9 +588,7 @@ class LutGemmKernel
 int
 resolveWorkers(const LutGemmConfig &config, std::size_t m)
 {
-    const std::size_t blocks =
-        (m + static_cast<std::size_t>(config.blockRows) - 1) /
-        static_cast<std::size_t>(config.blockRows);
+    const std::size_t blocks = (m + kBlockRows - 1) / kBlockRows;
     return static_cast<int>(std::min<std::size_t>(
         static_cast<std::size_t>(resolveThreadCount(config.threads)),
         std::max<std::size_t>(blocks, 1)));
@@ -695,55 +630,41 @@ acquireWorkspace(ExecutionContext *ctx,
 /**
  * The Simd backend: each activation column's LUT arenas are built
  * exactly once, on the submitting thread, and the column's row tiles
- * then stream through the pool, only reading them. Fast calls walk
- * the keys with the span kernels of the active ISA, resolved once and
- * shared read-only by the workers. Instrumented calls run the scalar
- * loop with per-read counters, merged per tile under a lock (tiles
- * partition the rows, so y itself needs none).
+ * then stream through the pool, only reading them. The keys are
+ * walked with the span kernels of the active ISA, resolved once and
+ * shared read-only by the workers (tiles partition the rows, so y
+ * needs no lock). Counters are not touched here: the caller adds the
+ * closed-form totals.
  */
-template <bool Instr>
 void
 runSimdBackend(const LutGemmKernel &kernel, const PackedLutKeys &pk,
                const LutGemmConfig &config, std::size_t m,
-               std::size_t batch, MatrixD &y, LutGemmCounters &cnt,
-               ExecutionContext *ctx)
+               std::size_t batch, MatrixD &y, ExecutionContext *ctx)
 {
+    const SimdKernels &simd = simdKernels();
+    const IntSpanKernel intSpan = simd.accumIntSpan;
     FpSpanKernel fpSpan = nullptr;
-    IntSpanKernel intSpan = nullptr;
-    if constexpr (!Instr) {
-        const SimdKernels &simd = simdKernels();
-        intSpan = simd.accumIntSpan;
-        if (config.arith == FpArith::Fp32)
-            fpSpan = simd.accumFpSpanFp32;
-        else if (config.arith == FpArith::Exact)
-            fpSpan = simd.accumFpSpanExact;
-    }
+    if (config.arith == FpArith::Fp32)
+        fpSpan = simd.accumFpSpanFp32;
+    else if (config.arith == FpArith::Exact)
+        fpSpan = simd.accumFpSpanExact;
     std::optional<ThreadPool> localPool;
     ThreadPool &pool = acquirePool(ctx, config, m, localPool);
     std::optional<CallWorkspace> localWs;
     CallWorkspace &ws = acquireWorkspace(ctx, localWs);
-    std::mutex counterMutex;
     for (std::size_t b = 0; b < batch; ++b) {
         if (!config.preAligned)
-            kernel.buildFpColumn<Instr>(b, ws.fp, ws.scratch, cnt);
+            kernel.buildFpColumn(b, ws.fp, ws.scratch);
         else
-            kernel.buildIntColumn<Instr>(b, ws.ig, ws.scratch, cnt);
-        pool.parallelForBlocked(
-            m, static_cast<std::size_t>(config.blockRows),
-            [&, b](BlockRange rows) {
-                static thread_local Scratch s;
-                LutGemmCounters tileCnt;
-                if (!config.preAligned)
-                    kernel.accumulateTileFp<Instr>(rows, b, pk, ws.fp,
-                                                   fpSpan, y, tileCnt, s);
-                else
-                    kernel.accumulateTileInt<Instr>(
-                        rows, b, pk, ws.ig, intSpan, y, tileCnt, s);
-                if constexpr (Instr) {
-                    std::lock_guard<std::mutex> lock(counterMutex);
-                    mergeCounters(cnt, tileCnt);
-                }
-            });
+            kernel.buildIntColumn(b, ws.ig, ws.scratch);
+        pool.parallelForBlocked(m, kBlockRows, [&, b](BlockRange rows) {
+            static thread_local Scratch s;
+            if (!config.preAligned)
+                kernel.accumulateTileFp(rows, b, pk, ws.fp, fpSpan, y, s);
+            else
+                kernel.accumulateTileInt(rows, b, pk, ws.ig, intSpan, y,
+                                         s);
+        });
     }
 }
 
@@ -751,9 +672,9 @@ runSimdBackend(const LutGemmKernel &kernel, const PackedLutKeys &pk,
  * Closed-form operation counts: every counter is an exact function of
  * the tensor shape and the kernel's group/chunk geometry — both
  * backends build each (column, group) LUT set exactly once — so the
- * fast path derives them after the loops instead of paying per-read
- * increments. The differential tests prove these equal the
- * instrumented counts.
+ * Simd backend derives them after the loops instead of paying per-read
+ * increments. The differential tests prove these equal the Reference
+ * backend's per-read counts.
  */
 void
 addClosedFormCounters(const BcqTensor &w, const LutGemmKernel &kernel,
@@ -833,12 +754,7 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
       case LutGemmBackend::Reference: {
           std::optional<CallWorkspace> localWs;
           Scratch &s = acquireWorkspace(ctx, localWs).scratch;
-          if (config.instrument) {
-              kernel.processRows<true>(BlockRange{0, m}, y, cnt, s);
-          } else {
-              LutGemmCounters unused;
-              kernel.processRows<false>(BlockRange{0, m}, y, unused, s);
-          }
+          kernel.processRows(BlockRange{0, m}, y, cnt, s);
           break;
       }
       case LutGemmBackend::Simd: {
@@ -848,18 +764,11 @@ lutGemmImpl(const BcqTensor &weights, const MatrixD &x,
               localPack = packLutKeys(weights, config.mu);
               pk = &localPack;
           }
-          if (config.instrument)
-              runSimdBackend<true>(kernel, *pk, config, m, batch, y, cnt,
-                                   ctx);
-          else
-              runSimdBackend<false>(kernel, *pk, config, m, batch, y,
-                                    cnt, ctx);
+          runSimdBackend(kernel, *pk, config, m, batch, y, ctx);
+          addClosedFormCounters(weights, kernel, batch, cnt);
           break;
       }
     }
-
-    if (!config.instrument)
-        addClosedFormCounters(weights, kernel, batch, cnt);
     return y;
 }
 
@@ -909,11 +818,12 @@ validateLutGemmConfig(const LutGemmConfig &config)
         return Status::invalidArgument(
             "hFFLUT requires mu >= 2 (mu=1 tables have no half); ",
             "raise mu or set useHalfLut = false");
-    if (config.backend != LutGemmBackend::Reference &&
-        config.blockRows < 1)
+    if (config.preAligned && (config.alignFracBits < kMinAlignFracBits ||
+                              config.alignFracBits > kMaxAlignFracBits))
         return Status::invalidArgument(
-            "LUT-GEMM Simd backend needs blockRows >= 1, got ",
-            config.blockRows);
+            "LUT-GEMM alignFracBits must be in [", kMinAlignFracBits, ", ",
+            kMaxAlignFracBits, "] on the pre-aligned path, got ",
+            config.alignFracBits);
     if (config.threads > kMaxLutGemmThreads)
         return Status::invalidArgument(
             "LUT-GEMM threads must be <= ", kMaxLutGemmThreads,

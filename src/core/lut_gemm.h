@@ -45,18 +45,19 @@ class ExecutionContext;
  * accumulates its (batch, group, plane) contributions in the same
  * order through the same emulated-FP operations, and LUT contents are
  * a deterministic function of the activations. They differ only in
- * traversal. Reference streams all M rows per (column, group) LUT set
- * on one thread, gathering each key from the bit planes — the
+ * traversal and in how they count. Reference streams all M rows per
+ * (column, group) LUT set on one thread, gathering each key from the
+ * bit planes and incrementing LutGemmCounters per operation — the
  * differential oracle. Simd builds each activation column's LUT
  * arenas exactly once, pre-packs (or reuses pre-packed) per-(plane,
- * chunk) key arrays, and streams blockRows-row tiles across a
+ * chunk) key arrays, and streams fixed 64-row tiles across a
  * ThreadPool, walking the keys with the runtime-dispatched vector
  * kernels of core/simd.h (AVX2 gathers / NEON lanes, scalar table
- * otherwise). Rows are independent vector lanes, so per-row
- * accumulation order is unchanged. FpArith::Fp16/Bf16 accumulate and
- * instrumented calls run the same traversal with a scalar key walk,
- * since only the binary32 round-trip has a hardware vector
- * equivalent.
+ * otherwise); it fills the counters from closed forms after the
+ * loops. Rows are independent vector lanes, so per-row accumulation
+ * order is unchanged. FpArith::Fp16/Bf16 accumulate runs the same
+ * traversal with a scalar key walk, since only the binary32
+ * round-trip has a hardware vector equivalent.
  */
 enum class LutGemmBackend
 {
@@ -85,18 +86,7 @@ struct LutGemmConfig
     bool useGeneratorTree = true;          ///< tree generator vs direct
 
     LutGemmBackend backend = LutGemmBackend::Reference;
-    int threads = 0;   ///< Simd: workers, <= 0 = hardware
-    int blockRows = 64;///< Simd: rows per work item (M-tile)
-
-    /**
-     * Count operations by per-read increments inside the hot loops
-     * instead of the default closed-form accounting. Both modes fill
-     * LutGemmCounters with identical values (the closed forms are
-     * proven against the instrumented counts by the differential
-     * tests); instrumenting only pays the per-read cost, so it exists
-     * for that proof and for debugging new traversals.
-     */
-    bool instrument = false;
+    int threads = 0; ///< Simd: workers, <= 0 = hardware
 };
 
 /** Upper bound on LutGemmConfig::threads (guards typo'd counts). */
@@ -104,8 +94,9 @@ inline constexpr int kMaxLutGemmThreads = 1024;
 
 /**
  * Validate the shape-independent kernel knobs: mu in [1, kMaxMu],
- * hFFLUT needs mu >= 2, the Simd backend needs blockRows >= 1, threads
- * <= kMaxLutGemmThreads. lutGemm() enforces exactly these checks
+ * hFFLUT needs mu >= 2, the pre-aligned path needs alignFracBits in
+ * [kMinAlignFracBits, kMaxAlignFracBits], threads <=
+ * kMaxLutGemmThreads. lutGemm() enforces exactly these checks
  * fatally per call; construction-time callers (the serve Engine) use
  * the Status form so a serving loop can reject a bad configuration
  * without dying. Messages state the violated bound.
@@ -116,9 +107,8 @@ Status validateLutGemmConfig(const LutGemmConfig &config);
  * Operation counters filled in by the kernel (drive energy models).
  *
  * Both backends build each (column, group) LUT set exactly once, so
- * every count is backend-invariant, and independent of
- * LutGemmConfig::instrument (closed-form and per-read accounting agree
- * exactly).
+ * every count is backend-invariant: the Reference backend's per-read
+ * tally and the Simd backend's closed forms agree exactly.
  */
 struct LutGemmCounters
 {

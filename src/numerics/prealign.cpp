@@ -23,8 +23,9 @@ AlignedBlock
 preAlign(const std::vector<double> &values, ActFormat fmt, int frac_bits,
          AlignRounding rounding)
 {
-    if (frac_bits < 2 || frac_bits > 60)
-        fatal("pre-alignment fraction bits must be in [2, 60], got ",
+    if (frac_bits < kMinAlignFracBits || frac_bits > kMaxAlignFracBits)
+        fatal("pre-alignment fraction bits must be in [",
+              kMinAlignFracBits, ", ", kMaxAlignFracBits, "], got ",
               frac_bits);
 
     AlignedBlock block;

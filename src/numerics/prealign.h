@@ -31,6 +31,10 @@ enum class AlignRounding
     NearestEven,    ///< RNE on the shifted-out fraction
 };
 
+/** Bounds of the aligned datapath fraction width accepted by preAlign(). */
+inline constexpr int kMinAlignFracBits = 2;
+inline constexpr int kMaxAlignFracBits = 60;
+
 /** A block of activations re-expressed on a shared exponent. */
 struct AlignedBlock
 {

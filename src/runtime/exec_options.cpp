@@ -15,7 +15,6 @@ makeGemmConfig(const ExecOptions &exec, int mu)
     cfg.useGeneratorTree = exec.useGeneratorTree;
     cfg.backend = exec.backend;
     cfg.threads = exec.threads;
-    cfg.blockRows = exec.blockRows;
     return cfg;
 }
 

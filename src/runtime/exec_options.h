@@ -7,8 +7,8 @@
  *    materialized, quantized, and key-packed — owned by the model /
  *    Engine, one-time cost.
  *  - ExecOptions (this header): how GEMM kernels execute on the host —
- *    backend, worker budget, tile height, activation/accumulate
- *    formats. Shared by every request an Engine serves.
+ *    backend, worker budget, activation/accumulate formats. Shared
+ *    by every request an Engine serves.
  *  - RequestOptions (serve/request.h): per-request knobs — token
  *    budget, input seed.
  *
@@ -28,12 +28,12 @@ namespace figlut {
 /** Host execution of the GEMM kernels (core/lut_gemm.h knobs). */
 struct ExecOptions
 {
-    /** Simd is bit-identical to Reference with the same closed-form
-     *  counters, so the fast backend is the default; dispatch
-     *  degrades to the scalar table on non-SIMD hosts. */
+    /** Simd is bit-identical to Reference and reports the same
+     *  counters (closed form vs per-read), so the fast backend is the
+     *  default; dispatch degrades to the scalar table on non-SIMD
+     *  hosts. */
     LutGemmBackend backend = LutGemmBackend::Simd;
-    int threads = 0;    ///< workers, <= 0 = hardware concurrency
-    int blockRows = 64; ///< rows per M-tile work item
+    int threads = 0; ///< workers, <= 0 = hardware concurrency
     ActFormat actFormat = ActFormat::FP16;
     FpArith arith = FpArith::Fp32;
     bool preAligned = true; ///< FIGLUT-I integer path
@@ -55,9 +55,9 @@ LutGemmConfig makeGemmConfig(const ExecOptions &exec, int mu);
 
 /**
  * Validate the execution knobs for LUT group size mu without running a
- * kernel: threads bound, blockRows positivity, mu range, hFFLUT
- * constraints — the same checks lutGemm() enforces fatally, surfaced
- * as a recoverable Status for the serving construction paths.
+ * kernel: threads bound, mu range, hFFLUT constraints, the pre-aligned
+ * fraction width — the same checks lutGemm() enforces fatally,
+ * surfaced as a recoverable Status for the serving construction paths.
  */
 Status validateExecOptions(const ExecOptions &exec, int mu);
 

@@ -157,7 +157,6 @@ Engine::create(const OptConfig &model, const EngineOptions &options)
 
 Engine::Engine(const OptConfig &model, const EngineOptions &options)
     : model_(model, modelOptionsFor(options)), options_(options),
-      ctx_(options.exec.threads),
       clock_(options.clock != nullptr ? options.clock : &ownedClock_),
       scheduler_(schedulerOptionsFor(model, options))
 {

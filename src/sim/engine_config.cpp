@@ -70,29 +70,6 @@ HwConfig::describe() const
 }
 
 void
-ExecConfig::validate() const
-{
-    if (backend != LutGemmBackend::Reference && blockRows < 1)
-        fatal("Simd execution needs blockRows >= 1, got ", blockRows);
-    if (threads > kMaxLutGemmThreads)
-        fatal("LUT-GEMM execution supports at most ", kMaxLutGemmThreads,
-              " workers, got ", threads);
-}
-
-NumericsConfig
-HwConfig::numerics() const
-{
-    NumericsConfig nc;
-    nc.actFormat = actFormat;
-    nc.mu = mu;
-    nc.backend = exec.backend;
-    nc.threads = exec.threads;
-    nc.blockRows = exec.blockRows;
-    nc.instrument = exec.instrument;
-    return nc;
-}
-
-void
 HwConfig::validate() const
 {
     if (mu < 2 || mu > 8)
@@ -104,7 +81,6 @@ HwConfig::validate() const
               fixedWeightBits);
     if (tech.freqMhz <= 0.0)
         fatal("clock frequency must be positive");
-    exec.validate();
 }
 
 } // namespace figlut

@@ -44,30 +44,11 @@ struct GemmShape
 };
 
 /**
- * Host-side execution policy for the LUT-GEMM functional kernel
- * backing the FIGLUT engines. This configures the *simulator's*
- * software (which backend runs the numerics, on how many threads),
- * not the modeled hardware; results are backend-invariant by
- * construction. The non-LUT engine kernels (FPE/iFPU/FIGNA) are
- * scalar and ignore this policy.
+ * Engine hardware configuration. It describes the modeled hardware
+ * only; how the host runs the functional kernels is LutGemmConfig's
+ * business (core/lut_gemm.h), reached from the serving side through
+ * ExecOptions (runtime/exec_options.h).
  */
-struct ExecConfig
-{
-    LutGemmBackend backend = LutGemmBackend::Reference;
-    int threads = 0;    ///< Simd: workers, <= 0 = hardware
-    int blockRows = 64; ///< Simd: rows per M-tile work item
-    /**
-     * Per-read operation counting inside the kernel loops instead of
-     * the default closed-form accounting (identical totals either
-     * way; instrumenting only slows the host kernel down).
-     */
-    bool instrument = false;
-
-    /** Validate invariants; throws FatalError on bad input. */
-    void validate() const;
-};
-
-/** Engine hardware configuration. */
 struct HwConfig
 {
     EngineKind engine = EngineKind::FIGLUT_I;
@@ -87,7 +68,6 @@ struct HwConfig
      */
     int fixedWeightBits = 4;
     TechParams tech = TechParams::default28nm();
-    ExecConfig exec; ///< host execution of the functional kernels
 
     /** True for the bit-serial engines (iFPU, FIGLUT). */
     bool bitSerial() const;
@@ -107,12 +87,6 @@ struct HwConfig
 
     /** Display name like "FIGLUT-I(FP16)". */
     std::string describe() const;
-
-    /**
-     * Numerics settings for this engine's functional kernels, with
-     * the host execution policy (exec) plumbed through.
-     */
-    NumericsConfig numerics() const;
 
     /** Validate invariants; throws FatalError on bad input. */
     void validate() const;

@@ -36,11 +36,11 @@ makeTensor(std::size_t m, std::size_t n, int bits, std::size_t group,
 
 TEST(ExecutionContext, PoolIsSpawnedOnceAndReused)
 {
-    ExecutionContext ctx(2);
+    ExecutionContext ctx;
     EXPECT_FALSE(ctx.hasPool());
     EXPECT_EQ(ctx.poolSpawns(), 0u);
 
-    ThreadPool &first = ctx.pool();
+    ThreadPool &first = ctx.pool(2);
     EXPECT_TRUE(ctx.hasPool());
     EXPECT_EQ(ctx.poolThreads(), 2);
     EXPECT_EQ(ctx.poolSpawns(), 1u);
@@ -48,7 +48,6 @@ TEST(ExecutionContext, PoolIsSpawnedOnceAndReused)
     // Same-or-smaller requests reuse the live pool.
     EXPECT_EQ(&ctx.pool(2), &first);
     EXPECT_EQ(&ctx.pool(1), &first);
-    EXPECT_EQ(&ctx.pool(0), &first);
     EXPECT_EQ(ctx.poolSpawns(), 1u);
 
     // A larger request replaces it, and the size ratchets up.
@@ -61,19 +60,18 @@ TEST(ExecutionContext, PoolIsSpawnedOnceAndReused)
 
 TEST(ExecutionContext, PoolDefaultsToHardwareConcurrency)
 {
-    ExecutionContext ctx; // threads <= 0 = auto
-    EXPECT_EQ(ctx.threads(), 0);
-    ThreadPool &pool = ctx.pool();
+    ExecutionContext ctx;
+    ThreadPool &pool = ctx.pool(); // workers <= 0 = auto
     EXPECT_GE(pool.threadCount(), 1);
     EXPECT_EQ(pool.threadCount(), resolveThreadCount(0));
 }
 
 TEST(ExecutionContext, PoolExecutesWorkAfterReuse)
 {
-    ExecutionContext ctx(3);
+    ExecutionContext ctx;
     for (int round = 0; round < 3; ++round) {
         std::vector<int> hits(64, 0);
-        ctx.pool().parallelForBlocked(hits.size(), 8,
+        ctx.pool(3).parallelForBlocked(hits.size(), 8,
                                       [&](BlockRange r) {
                                           for (std::size_t i = r.begin;
                                                i < r.end; ++i)
@@ -107,8 +105,9 @@ TEST(ExecutionContext, SharedContextMatchesFreshResourcesAllBackends)
 {
     // Two interleaved shapes through one context: results must equal
     // the per-call-resource path bit-for-bit on every backend, call
-    // after call (the workspace carries state between them).
-    const auto big = makeTensor(48, 64, 3, 16, true, 42);
+    // after call (the workspace carries state between them). The big
+    // shape spans three 64-row tiles.
+    const auto big = makeTensor(130, 64, 3, 16, true, 42);
     const auto small = makeTensor(17, 23, 2, 0, false, 43);
     Rng rng(44);
     const auto xBig = syntheticActivations(64, 3, rng);
@@ -121,9 +120,8 @@ TEST(ExecutionContext, SharedContextMatchesFreshResourcesAllBackends)
             cfg.backend = backend;
             cfg.preAligned = pre;
             cfg.threads = 2;
-            cfg.blockRows = 8;
 
-            ExecutionContext ctx(2);
+            ExecutionContext ctx;
             for (int call = 0; call < 3; ++call) {
                 LutGemmCounters fresh, shared;
                 const auto yRef = lutGemm(big, xBig, cfg, &fresh);
@@ -157,9 +155,8 @@ TEST(ExecutionContext, PrepackedSharedContextSpawnsOnePool)
     cfg.backend = LutGemmBackend::Simd;
     cfg.preAligned = true;
     cfg.threads = 2;
-    cfg.blockRows = 16;
 
-    ExecutionContext ctx(2);
+    ExecutionContext ctx;
     const auto first = lutGemm(tensor, x, cfg, packed, nullptr, &ctx);
     for (int call = 0; call < 4; ++call) {
         const auto y = lutGemm(tensor, x, cfg, packed, nullptr, &ctx);

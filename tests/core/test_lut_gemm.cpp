@@ -238,15 +238,25 @@ TEST(LutGemm, ValidateConfigReportsEachBadKnob)
     cfg.useHalfLut = false;
     EXPECT_TRUE(validateLutGemmConfig(cfg).ok());
 
-    cfg = LutGemmConfig{};
-    cfg.backend = LutGemmBackend::Simd;
-    cfg.blockRows = 0;
-    s = validateLutGemmConfig(cfg);
-    EXPECT_EQ(s.code(), StatusCode::InvalidArgument);
-    EXPECT_NE(s.message().find("blockRows"), std::string::npos);
-    // The Reference backend never blocks rows; the knob is ignored.
-    cfg.backend = LutGemmBackend::Reference;
-    EXPECT_TRUE(validateLutGemmConfig(cfg).ok());
+    // The pre-aligned path accepts exactly the fraction widths
+    // preAlign() does; the FP path never aligns, so it ignores them.
+    for (const int bits : {kMinAlignFracBits - 1, kMaxAlignFracBits + 1}) {
+        cfg = LutGemmConfig{};
+        cfg.preAligned = true;
+        cfg.alignFracBits = bits;
+        s = validateLutGemmConfig(cfg);
+        EXPECT_EQ(s.code(), StatusCode::InvalidArgument) << bits;
+        EXPECT_NE(s.message().find("alignFracBits"), std::string::npos)
+            << bits;
+        cfg.preAligned = false;
+        EXPECT_TRUE(validateLutGemmConfig(cfg).ok()) << bits;
+    }
+    for (const int bits : {kMinAlignFracBits, kMaxAlignFracBits}) {
+        cfg = LutGemmConfig{};
+        cfg.preAligned = true;
+        cfg.alignFracBits = bits;
+        EXPECT_TRUE(validateLutGemmConfig(cfg).ok()) << bits;
+    }
 
     cfg = LutGemmConfig{};
     cfg.threads = kMaxLutGemmThreads + 1;

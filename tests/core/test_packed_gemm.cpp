@@ -3,14 +3,15 @@
  * Differential tests for the packed-key layout: the Simd LUT-GEMM
  * backend pinned to the scalar kernel table (the LutGemmPacked
  * fixture), bit-identical to Reference over randomized shapes and
- * configs, the pre-packed key reuse API, and the
- * closed-form-vs-instrumented counter proof.
+ * configs, the pre-packed key reuse API, and the counter proof:
+ * Simd's closed-form counts equal Reference's per-read counts.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/engine_numerics.h"
+#include "core/execution_context.h"
 #include "core/lut_gemm.h"
 #include "core/simd.h"
 #include "model/synthetic.h"
@@ -70,18 +71,34 @@ class LutGemmPacked : public ::testing::Test
     void TearDown() override { clearSimdIsaOverride(); }
 };
 
+/**
+ * Row counts straddling the fixed 64-row tile (one short tile, exact
+ * tiles, one-row tails), at several worker counts, with per-call
+ * resources and with a shared context.
+ */
 TEST_F(LutGemmPacked, BitIdenticalToReferenceBothPaths)
 {
-    const auto tc = makeCase(32, 64, 3, 3, 16, true, 1001);
-    for (const bool pre : {false, true}) {
-        LutGemmConfig cfg;
-        cfg.preAligned = pre;
-        cfg.threads = 4;
-        cfg.blockRows = 8;
-        const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
-        const auto packed = runBackend(tc, cfg, LutGemmBackend::Simd);
-        EXPECT_TRUE(compareMatrices(packed, ref).identical)
-            << "preAligned=" << pre;
+    for (const std::size_t m : {1, 63, 64, 65, 128, 129, 200}) {
+        const auto tc = makeCase(m, 64, 3, 3, 16, true, 1001 + m);
+        for (const bool pre : {false, true}) {
+            LutGemmConfig cfg;
+            cfg.preAligned = pre;
+            const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
+            cfg.backend = LutGemmBackend::Simd;
+            ExecutionContext shared;
+            ExecutionContext *const contexts[] = {nullptr, &shared};
+            for (const int threads : {1, 2, 3, 8}) {
+                cfg.threads = threads;
+                for (ExecutionContext *ctx : contexts) {
+                    const auto packed =
+                        lutGemm(tc.weights, tc.x, cfg, nullptr, ctx);
+                    EXPECT_TRUE(compareMatrices(packed, ref).identical)
+                        << "m=" << m << " preAligned=" << pre
+                        << " threads=" << threads
+                        << " ctx=" << (ctx != nullptr);
+                }
+            }
+        }
     }
 }
 
@@ -93,7 +110,6 @@ TEST_F(LutGemmPacked, TailChunksAndOddShapes)
         const auto tc = makeCase(7, 37, 2, 2, group, true, 1002);
         LutGemmConfig cfg;
         cfg.preAligned = true;
-        cfg.blockRows = 3;
         const auto ref = runBackend(tc, cfg, LutGemmBackend::Reference);
         const auto packed = runBackend(tc, cfg, LutGemmBackend::Simd);
         EXPECT_TRUE(compareMatrices(packed, ref).identical)
@@ -111,7 +127,7 @@ TEST_F(LutGemmPacked, RandomizedDifferentialSuite)
 {
     Rng shapes(1003);
     for (int trial = 0; trial < 16; ++trial) {
-        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 60));
+        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 160));
         const auto n = static_cast<std::size_t>(shapes.uniformInt(1, 80));
         const auto batch =
             static_cast<std::size_t>(shapes.uniformInt(1, 5));
@@ -129,7 +145,6 @@ TEST_F(LutGemmPacked, RandomizedDifferentialSuite)
         cfg.useGeneratorTree = shapes.uniformInt(0, 1) == 1;
         cfg.preAligned = shapes.uniformInt(0, 1) == 1;
         cfg.threads = static_cast<int>(shapes.uniformInt(1, 8));
-        cfg.blockRows = static_cast<int>(shapes.uniformInt(1, 32));
 
         const auto tc = makeCase(m, n, batch, bits, group, offset,
                                  1100 + static_cast<uint64_t>(trial));
@@ -145,8 +160,7 @@ TEST_F(LutGemmPacked, RandomizedDifferentialSuite)
             std::to_string(cfg.useHalfLut) + " tree " +
             std::to_string(cfg.useGeneratorTree) + " pre " +
             std::to_string(cfg.preAligned) + " threads " +
-            std::to_string(cfg.threads) + " blockRows " +
-            std::to_string(cfg.blockRows);
+            std::to_string(cfg.threads);
         EXPECT_TRUE(compareMatrices(packed, ref).identical) << what;
     }
 }
@@ -157,7 +171,6 @@ TEST_F(LutGemmPacked, PrepackedKeysMatchInternalPacking)
     LutGemmConfig cfg;
     cfg.backend = LutGemmBackend::Simd;
     cfg.preAligned = true;
-    cfg.blockRows = 7;
     const auto packedKeys = packLutKeys(tc.weights, cfg.mu);
     const auto internal = lutGemm(tc.weights, tc.x, cfg);
     // Reuse the same pre-packing across repeated calls.
@@ -189,28 +202,23 @@ TEST_F(LutGemmPacked, PrepackedValidationThrows)
     EXPECT_THROW(lutGemm(tc.weights, tc.x, refCfg, good), FatalError);
 }
 
-TEST_F(LutGemmPacked, InvalidBlockRowsThrows)
-{
-    const auto tc = makeCase(4, 16, 1, 2, 0, false, 1007);
-    LutGemmConfig cfg;
-    cfg.backend = LutGemmBackend::Simd;
-    cfg.blockRows = 0;
-    EXPECT_THROW(lutGemm(tc.weights, tc.x, cfg), FatalError);
-}
-
 // ---------------------------------------- closed-form counter proofs
 
 /**
- * The fast path's closed-form counters must equal the instrumented
- * per-read counts for every backend over the randomized suite — this
- * is the differential proof the ISSUE requires for stripping the
- * increments out of the hot loops.
+ * The Simd backend's closed-form counters must equal the Reference
+ * backend's per-read counts over the randomized suite. The two tallies
+ * come from independent traversals, so agreement proves the closed
+ * forms. The flags walk every on/off combination across the trials;
+ * mu covers 1-6 and the accumulate format every FpArith, including
+ * the Fp16/Bf16 formats that take Simd's scalar key walk.
  */
 TEST(LutGemmCounters, ClosedFormMatchesInstrumentedRandomized)
 {
     Rng shapes(1008);
-    for (int trial = 0; trial < 10; ++trial) {
-        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 50));
+    const FpArith ariths[] = {FpArith::Fp32, FpArith::Exact,
+                              FpArith::Fp16, FpArith::Bf16};
+    for (int trial = 0; trial < 16; ++trial) {
+        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 150));
         const auto n = static_cast<std::size_t>(shapes.uniformInt(1, 60));
         const auto batch =
             static_cast<std::size_t>(shapes.uniformInt(1, 4));
@@ -220,44 +228,42 @@ TEST(LutGemmCounters, ClosedFormMatchesInstrumentedRandomized)
             grouped ? static_cast<std::size_t>(
                           shapes.uniformInt(1, static_cast<int64_t>(n)))
                     : 0;
-        const bool offset = shapes.uniformInt(0, 1) == 1;
+        const bool offset = (trial & 1) != 0;
 
         LutGemmConfig cfg;
-        cfg.mu = static_cast<int>(shapes.uniformInt(1, 6));
-        cfg.useHalfLut = cfg.mu >= 2 && shapes.uniformInt(0, 1) == 1;
-        cfg.useGeneratorTree = shapes.uniformInt(0, 1) == 1;
-        cfg.preAligned = shapes.uniformInt(0, 1) == 1;
+        cfg.mu = 1 + trial % 6;
+        cfg.useHalfLut = cfg.mu >= 2 && (trial & 2) != 0;
+        cfg.useGeneratorTree = (trial & 4) != 0;
+        cfg.preAligned = (trial & 8) != 0;
+        cfg.arith = ariths[shapes.uniformInt(0, 3)];
         cfg.threads = static_cast<int>(shapes.uniformInt(1, 4));
-        cfg.blockRows = static_cast<int>(shapes.uniformInt(1, 16));
 
         const auto tc = makeCase(m, n, batch, bits, group, offset,
                                  1200 + static_cast<uint64_t>(trial));
-        for (const auto backend :
-             {LutGemmBackend::Reference, LutGemmBackend::Simd}) {
-            LutGemmCounters closed, instrumented;
-            cfg.instrument = false;
-            (void)runBackend(tc, cfg, backend, &closed);
-            cfg.instrument = true;
-            (void)runBackend(tc, cfg, backend, &instrumented);
-            expectCountersEqual(
-                closed, instrumented,
-                "trial " + std::to_string(trial) + " backend " +
-                    std::to_string(static_cast<int>(backend)) + " mu " +
-                    std::to_string(cfg.mu) + " blockRows " +
-                    std::to_string(cfg.blockRows));
-        }
+        LutGemmCounters closed, perRead;
+        (void)runBackend(tc, cfg, LutGemmBackend::Simd, &closed);
+        (void)runBackend(tc, cfg, LutGemmBackend::Reference, &perRead);
+        expectCountersEqual(
+            closed, perRead,
+            "trial " + std::to_string(trial) + ": " + std::to_string(m) +
+                "x" + std::to_string(n) + " batch " +
+                std::to_string(batch) + " offset " +
+                std::to_string(offset) + " mu " + std::to_string(cfg.mu) +
+                " half " + std::to_string(cfg.useHalfLut) + " tree " +
+                std::to_string(cfg.useGeneratorTree) + " pre " +
+                std::to_string(cfg.preAligned) + " arith " +
+                std::to_string(static_cast<int>(cfg.arith)));
     }
 }
 
 TEST(LutGemmCounters, PackedBuildsEachLutSetExactlyOnce)
 {
     // The Simd backend must report batch x totalChunks LUT
-    // generations no matter how many row tiles execute: 32 rows /
-    // blockRows 4 = 8 tiles here.
-    const auto tc = makeCase(32, 64, 2, 3, 0, true, 1009);
+    // generations no matter how many row tiles execute: 150 rows in
+    // 64-row tiles = 3 tiles here.
+    const auto tc = makeCase(150, 64, 2, 3, 0, true, 1009);
     LutGemmConfig cfg;
     cfg.mu = 4;
-    cfg.blockRows = 4;
     cfg.threads = 4;
 
     LutGemmCounters ref, packed;
@@ -285,14 +291,18 @@ TEST(LutGemmCounters, GeneratorAddsAttributedAfterFirstGeneration)
 {
     // n = mu = 4, batch 1, one group: exactly one LUT generation.
     const auto tc = makeCase(2, 4, 1, 1, 0, false, 1010);
-    LutGemmConfig cfg;
-    cfg.mu = 4;
-    cfg.useGeneratorTree = true;
-    cfg.instrument = true;
-    LutGemmCounters cnt;
-    (void)lutGemm(tc.weights, tc.x, cfg, &cnt);
-    EXPECT_EQ(cnt.lutGenerations, 1u);
-    EXPECT_EQ(cnt.generatorAdds, lutGeneratorAdderCount(4).treeAdds);
+    for (const auto backend :
+         {LutGemmBackend::Reference, LutGemmBackend::Simd}) {
+        LutGemmConfig cfg;
+        cfg.mu = 4;
+        cfg.useGeneratorTree = true;
+        LutGemmCounters cnt;
+        (void)runBackend(tc, cfg, backend, &cnt);
+        const std::string what = lutGemmBackendName(backend);
+        EXPECT_EQ(cnt.lutGenerations, 1u) << what;
+        EXPECT_EQ(cnt.generatorAdds, lutGeneratorAdderCount(4).treeAdds)
+            << what;
+    }
 }
 
 TEST(LutGemmCounters, GeneratorAddsScaleWithGenerations)
@@ -300,18 +310,19 @@ TEST(LutGemmCounters, GeneratorAddsScaleWithGenerations)
     // Multi-chunk, multi-plane, multi-column: every generation must
     // contribute exactly one tree's worth of adds.
     const auto tc = makeCase(4, 24, 3, 2, 8, true, 1011);
-    for (const bool instrument : {false, true}) {
+    for (const auto backend :
+         {LutGemmBackend::Reference, LutGemmBackend::Simd}) {
         LutGemmConfig cfg;
         cfg.mu = 4;
         cfg.useGeneratorTree = true;
-        cfg.instrument = instrument;
         LutGemmCounters cnt;
-        (void)lutGemm(tc.weights, tc.x, cfg, &cnt);
+        (void)runBackend(tc, cfg, backend, &cnt);
+        const std::string what = lutGemmBackendName(backend);
         // 3 groups x 2 chunks x 3 columns = 18 generations.
-        EXPECT_EQ(cnt.lutGenerations, 18u) << instrument;
+        EXPECT_EQ(cnt.lutGenerations, 18u) << what;
         EXPECT_EQ(cnt.generatorAdds,
                   18u * lutGeneratorAdderCount(4).treeAdds)
-            << instrument;
+            << what;
     }
 }
 

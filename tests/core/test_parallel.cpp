@@ -2,7 +2,7 @@
  * @file
  * Tests for the ThreadPool work queue and the Simd LUT-GEMM backend's
  * bit-identity against the scalar Reference backend under every row
- * tiling (worker count x blockRows).
+ * tiling (worker count x row counts around the fixed 64-row tile).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "core/engine_numerics.h"
+#include "core/execution_context.h"
 #include "core/lut_gemm.h"
 #include "core/parallel.h"
 #include "model/synthetic.h"
@@ -129,23 +130,21 @@ makeCase(std::size_t m, std::size_t n, std::size_t batch, int bits,
 
 MatrixD
 runBackend(const GemmCase &tc, LutGemmBackend backend, int threads,
-           int block_rows, bool pre_aligned)
+           bool pre_aligned, ExecutionContext *ctx = nullptr)
 {
     LutGemmConfig cfg;
     cfg.backend = backend;
     cfg.threads = threads;
-    cfg.blockRows = block_rows;
     cfg.preAligned = pre_aligned;
-    return lutGemm(tc.weights, tc.x, cfg);
+    return lutGemm(tc.weights, tc.x, cfg, nullptr, ctx);
 }
 
 TEST(LutGemmTiled, OneThreadBitIdenticalToReference)
 {
     const auto tc = makeCase(32, 64, 3, 3, 16, true, 901);
     for (const bool pre : {false, true}) {
-        const auto ref =
-            runBackend(tc, LutGemmBackend::Reference, 0, 64, pre);
-        const auto simd = runBackend(tc, LutGemmBackend::Simd, 1, 64, pre);
+        const auto ref = runBackend(tc, LutGemmBackend::Reference, 0, pre);
+        const auto simd = runBackend(tc, LutGemmBackend::Simd, 1, pre);
         EXPECT_TRUE(compareMatrices(simd, ref).identical)
             << "preAligned=" << pre;
     }
@@ -153,11 +152,11 @@ TEST(LutGemmTiled, OneThreadBitIdenticalToReference)
 
 TEST(LutGemmTiled, ManyThreadsBitIdenticalToReference)
 {
-    const auto tc = makeCase(64, 96, 4, 2, 24, true, 902);
+    // 129 rows: two full 64-row tiles and a one-row tail.
+    const auto tc = makeCase(129, 96, 4, 2, 24, true, 902);
     for (const bool pre : {false, true}) {
-        const auto ref =
-            runBackend(tc, LutGemmBackend::Reference, 0, 64, pre);
-        const auto simd = runBackend(tc, LutGemmBackend::Simd, 8, 8, pre);
+        const auto ref = runBackend(tc, LutGemmBackend::Reference, 0, pre);
+        const auto simd = runBackend(tc, LutGemmBackend::Simd, 8, pre);
         EXPECT_TRUE(compareMatrices(simd, ref).identical)
             << "preAligned=" << pre;
     }
@@ -165,14 +164,28 @@ TEST(LutGemmTiled, ManyThreadsBitIdenticalToReference)
 
 TEST(LutGemmTiled, BlockRowsSweepIsTilingInvariant)
 {
-    const auto tc = makeCase(40, 48, 2, 3, 0, true, 903);
-    const auto ref = runBackend(tc, LutGemmBackend::Reference, 0, 64, true);
-    // Including block sizes that do not divide M and exceed M.
-    for (const int block_rows : {1, 3, 7, 16, 40, 64, 1000}) {
-        const auto simd =
-            runBackend(tc, LutGemmBackend::Simd, 4, block_rows, true);
-        EXPECT_TRUE(compareMatrices(simd, ref).identical)
-            << "blockRows=" << block_rows;
+    // Row counts straddling the fixed 64-row tile: a single short
+    // tile, exact multiples, and one-row tails, at worker counts that
+    // do and do not divide the tile count, with per-call resources and
+    // with one context shared by every call.
+    for (const std::size_t m : {1, 63, 64, 65, 128, 129, 200}) {
+        const auto tc = makeCase(m, 48, 2, 3, 0, true, 903 + m);
+        for (const bool pre : {false, true}) {
+            const auto ref =
+                runBackend(tc, LutGemmBackend::Reference, 0, pre);
+            ExecutionContext shared;
+            ExecutionContext *const contexts[] = {nullptr, &shared};
+            for (const int threads : {1, 2, 3, 8}) {
+                for (ExecutionContext *ctx : contexts) {
+                    const auto simd = runBackend(tc, LutGemmBackend::Simd,
+                                                 threads, pre, ctx);
+                    EXPECT_TRUE(compareMatrices(simd, ref).identical)
+                        << "m=" << m << " pre=" << pre
+                        << " threads=" << threads
+                        << " ctx=" << (ctx != nullptr);
+                }
+            }
+        }
     }
 }
 
@@ -180,7 +193,7 @@ TEST(LutGemmTiled, RandomizedShapesDifferential)
 {
     Rng shapes(904);
     for (int trial = 0; trial < 12; ++trial) {
-        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 70));
+        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 200));
         const auto n = static_cast<std::size_t>(shapes.uniformInt(1, 90));
         const auto batch =
             static_cast<std::size_t>(shapes.uniformInt(1, 5));
@@ -193,19 +206,16 @@ TEST(LutGemmTiled, RandomizedShapesDifferential)
         const bool offset = shapes.uniformInt(0, 1) == 1;
         const bool pre = shapes.uniformInt(0, 1) == 1;
         const int threads = static_cast<int>(shapes.uniformInt(1, 8));
-        const int block_rows = static_cast<int>(shapes.uniformInt(1, 32));
 
         const auto tc = makeCase(m, n, batch, bits, group, offset,
                                  905 + static_cast<uint64_t>(trial));
-        const auto ref =
-            runBackend(tc, LutGemmBackend::Reference, 0, 64, pre);
-        const auto simd = runBackend(tc, LutGemmBackend::Simd, threads,
-                                     block_rows, pre);
+        const auto ref = runBackend(tc, LutGemmBackend::Reference, 0, pre);
+        const auto simd = runBackend(tc, LutGemmBackend::Simd, threads, pre);
         EXPECT_TRUE(compareMatrices(simd, ref).identical)
             << "trial " << trial << ": " << m << "x" << n << " batch "
             << batch << " bits " << bits << " group " << group
             << " offset " << offset << " pre " << pre << " threads "
-            << threads << " blockRows " << block_rows;
+            << threads;
     }
 }
 

@@ -158,7 +158,7 @@ TEST(SimdGemm, RandomizedBitIdentityEveryIsa)
     const FpArith ariths[] = {FpArith::Fp32, FpArith::Exact,
                               FpArith::Fp16, FpArith::Bf16};
     for (int trial = 0; trial < 16; ++trial) {
-        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 60));
+        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 150));
         const auto n = static_cast<std::size_t>(shapes.uniformInt(1, 80));
         const auto batch =
             static_cast<std::size_t>(shapes.uniformInt(1, 5));
@@ -177,7 +177,6 @@ TEST(SimdGemm, RandomizedBitIdentityEveryIsa)
         cfg.preAligned = shapes.uniformInt(0, 1) == 1;
         cfg.arith = ariths[shapes.uniformInt(0, 3)];
         cfg.threads = static_cast<int>(shapes.uniformInt(1, 8));
-        cfg.blockRows = static_cast<int>(shapes.uniformInt(1, 32));
 
         const auto tc = makeCase(m, n, batch, bits, group, offset,
                                  2100 + static_cast<uint64_t>(trial));
@@ -209,13 +208,12 @@ TEST(SimdGemm, RandomizedBitIdentityEveryIsa)
  */
 TEST(SimdGemm, ForcedIsaSweepIsBitIdentical)
 {
-    const auto tc = makeCase(33, 70, 3, 3, 24, true, 2200);
+    const auto tc = makeCase(133, 70, 3, 3, 24, true, 2200);
     for (const bool pre : {false, true}) {
         LutGemmConfig cfg;
         cfg.backend = LutGemmBackend::Simd;
         cfg.preAligned = pre;
         cfg.threads = 2;
-        cfg.blockRows = 8;
 
         MatrixD baseline;
         {
@@ -262,7 +260,6 @@ TEST(SimdGemm, PrepackedKeysReuse)
     LutGemmConfig cfg;
     cfg.backend = LutGemmBackend::Simd;
     cfg.preAligned = true;
-    cfg.blockRows = 7;
     const auto packedKeys = packLutKeys(tc.weights, cfg.mu);
     const auto internal = lutGemm(tc.weights, tc.x, cfg);
     for (int call = 0; call < 2; ++call) {
@@ -280,17 +277,17 @@ TEST(SimdGemm, PrepackedKeysReuse)
 // --------------------------------------------------- counter identity
 
 /**
- * Counter equivalence for the Simd path: the closed-form counts of an
- * uninstrumented Simd call must equal both its own instrumented
- * per-read counts (the scalar key walk) and the Reference backend's
- * (both build each LUT set once, so every counter is
- * backend-invariant).
+ * Counter equivalence for the Simd path: the closed-form counts of a
+ * Simd call must equal the Reference backend's per-read counts (both
+ * build each LUT set once, so every counter is backend-invariant)
+ * under every dispatchable ISA, and a shared context must accumulate
+ * exactly one call's worth per call.
  */
 TEST(SimdGemm, CountersMatchInstrumentedAndReference)
 {
     Rng shapes(2500);
     for (int trial = 0; trial < 6; ++trial) {
-        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 50));
+        const auto m = static_cast<std::size_t>(shapes.uniformInt(1, 150));
         const auto n = static_cast<std::size_t>(shapes.uniformInt(1, 60));
         const auto batch =
             static_cast<std::size_t>(shapes.uniformInt(1, 4));
@@ -299,39 +296,32 @@ TEST(SimdGemm, CountersMatchInstrumentedAndReference)
         const bool offset = trial % 2 == 1;
 
         LutGemmConfig cfg;
-        cfg.backend = LutGemmBackend::Simd;
         cfg.mu = static_cast<int>(shapes.uniformInt(1, 6));
         cfg.useHalfLut = cfg.mu >= 2;
         cfg.preAligned = trial % 2 == 0;
-        cfg.blockRows = static_cast<int>(shapes.uniformInt(1, 16));
+        cfg.threads = 2;
 
         const auto tc = makeCase(m, n, batch, bits, group, offset,
                                  2600 + static_cast<uint64_t>(trial));
-        const std::string what = "trial " + std::to_string(trial);
-
-        LutGemmCounters closed, instrumented, ref;
-        cfg.instrument = false;
-        (void)runBackend(tc, cfg, LutGemmBackend::Simd, &closed);
-        cfg.instrument = true;
-        (void)runBackend(tc, cfg, LutGemmBackend::Simd, &instrumented);
-        cfg.instrument = false;
+        LutGemmCounters ref;
         (void)runBackend(tc, cfg, LutGemmBackend::Reference, &ref);
-        expectCountersEqual(closed, instrumented, what + " instrumented");
-        expectCountersEqual(closed, ref, what + " vs reference");
-    }
-}
+        cfg.backend = LutGemmBackend::Simd;
+        for (const auto isa : supportedIsas()) {
+            IsaOverrideGuard guard(isa);
+            const std::string what = "trial " + std::to_string(trial) +
+                                     " isa " + simdIsaName(isa);
+            LutGemmCounters closed;
+            (void)lutGemm(tc.weights, tc.x, cfg, &closed);
+            expectCountersEqual(closed, ref, what);
 
-TEST(SimdGemm, EngineNumericsPlumbsSimdBackend)
-{
-    const auto tc = makeCase(12, 40, 3, 3, 20, true, 2700);
-    NumericsConfig ref;
-    NumericsConfig simd;
-    simd.backend = LutGemmBackend::Simd;
-    simd.threads = 2;
-    for (const bool pre : {false, true}) {
-        const auto a = figlutGemm(tc.weights, tc.x, ref, pre);
-        const auto b = figlutGemm(tc.weights, tc.x, simd, pre);
-        EXPECT_TRUE(compareMatrices(a, b).identical) << "pre=" << pre;
+            ExecutionContext ctx;
+            LutGemmCounters twice;
+            (void)lutGemm(tc.weights, tc.x, cfg, &twice, &ctx);
+            (void)lutGemm(tc.weights, tc.x, cfg, &twice, &ctx);
+            EXPECT_EQ(twice.lutReads, 2 * ref.lutReads) << what;
+            EXPECT_EQ(twice.lutGenerations, 2 * ref.lutGenerations)
+                << what;
+        }
     }
 }
 

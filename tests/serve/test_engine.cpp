@@ -116,7 +116,6 @@ handRolledStep(const QuantizedModel &qm, const ExecOptions &exec,
     LutGemmConfig cfg = makeGemmConfig(exec, qm.options().mu);
     cfg.backend = LutGemmBackend::Reference;
     cfg.threads = 0;
-    cfg.blockRows = 64;
 
     const OptConfig &model = qm.config();
     const std::size_t h = model.hidden;
@@ -161,8 +160,10 @@ TEST(Engine, DecodeStepBitIdenticalToHandRolledReference)
     Rng trialRng(2025);
     for (int trial = 0; trial < 4; ++trial) {
         const std::size_t heads = trial % 2 == 0 ? 2 : 4;
-        const std::size_t hidden =
+        std::size_t hidden =
             heads * static_cast<std::size_t>(trialRng.uniformInt(8, 16));
+        if (trial == 0)
+            hidden = 32; // QKV M = 96: a full 64-row tile plus a tail
         const std::size_t ffn =
             hidden * static_cast<std::size_t>(trialRng.uniformInt(2, 4));
         const std::size_t layers =
@@ -183,7 +184,6 @@ TEST(Engine, DecodeStepBitIdenticalToHandRolledReference)
         opts.maxQueue = 0;
         opts.exec.preAligned = trial % 2 == 0;
         opts.exec.threads = 2;
-        opts.exec.blockRows = 8;
 
         auto created = Engine::create(model, opts);
         ASSERT_TRUE(created.ok()) << created.status().toString();
@@ -374,13 +374,15 @@ TEST(Engine, CreateRejectsEachBadKnob)
         EXPECT_NE(r.status().message().find("mu >= 2"),
                   std::string::npos);
     }
-    {
+    for (const int bits : {1, 61}) {
+        // Outside preAlign()'s range: rejected here, not at step().
         EngineOptions o = good;
-        o.exec.blockRows = 0;
+        o.exec.preAligned = true;
+        o.exec.alignFracBits = bits;
         const auto r = Engine::create(model, o);
-        ASSERT_FALSE(r.ok());
+        ASSERT_FALSE(r.ok()) << bits;
         EXPECT_EQ(r.status().code(), StatusCode::InvalidArgument);
-        EXPECT_NE(r.status().message().find("blockRows"),
+        EXPECT_NE(r.status().message().find("alignFracBits"),
                   std::string::npos);
     }
     {
@@ -867,7 +869,8 @@ TEST(Engine, WorkloadTasksTrackTheLiveRaggedBatch)
 TEST(Engine, BackendsAgreeOnTheFusedPath)
 {
     // The fused step through Reference and Simd must be bit-identical
-    // (Simd is the only backend consuming pre-packed keys).
+    // (Simd is the only backend consuming pre-packed keys). Hidden 24
+    // makes the QKV GEMM 72 rows: a full 64-row tile plus a tail.
     const auto model = tinyConfig(24, 1, 2, 48);
     MatrixD outputs[2];
     const LutGemmBackend backends[] = {LutGemmBackend::Reference,
@@ -877,7 +880,6 @@ TEST(Engine, BackendsAgreeOnTheFusedPath)
         opts.model.bcqIterations = 1;
         opts.exec.backend = backends[i];
         opts.exec.threads = 2;
-        opts.exec.blockRows = 8;
         auto created = Engine::create(model, opts);
         ASSERT_TRUE(created.ok());
         Engine &engine = *created.value();

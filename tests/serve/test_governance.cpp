@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for memory-governed serving (serve/engine.h + degradation.h):
+ * Tests for memory-governed serving (serve/engine.h + scheduler.h):
  * per-request deadlines on a virtual clock (including injected clock
  * skew), KV-budget admission with the ShedNewest and EvictLongestIdle
  * policies, and the survival contract — every request that does not
